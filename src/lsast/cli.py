@@ -10,14 +10,12 @@ Exit codes: 0 success, 1 operational failure, 2 usage error.
 import argparse
 import json
 import logging
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 from .config import Config, load_config
 from .corpus import ReportCorpus, fetch_reports_remote
-from .errors import ConfigurationError, EvaluationError, LsastError, RecordIntegrityError
+from .errors import ConfigurationError, EvaluationError, LsastError
 from .evaluation import (
     ConfusionCounts,
     EvalLabel,
@@ -32,6 +30,7 @@ from .evaluation import (
     match_findings,
     render_metrics_table,
     truth_from_findings,
+    validate_label,
 )
 from .gateway import ChatClient, MockGateway, render_finding
 from .index import HttpEmbedder, IndexKind, OfflineEmbedder, VectorIndex
@@ -110,14 +109,7 @@ def cmd_ingest(args, config: Config) -> int:
         records = fetch_reports_remote(
             config.fetch_endpoint, time_window=window, page_limit=args.page_limit
         )
-        # ingest_reports reads files, so stage the fetched payload in one.
-        fd, staged = tempfile.mkstemp(suffix=".json", prefix="fetched-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(records, handle)
-            summary = corpus.ingest_reports(staged)
-        finally:
-            os.unlink(staged)
+        summary = corpus.ingest_records(records)
         _print_warnings(summary.warnings)
         print(f"fetched {len(records)} records: corpus now holds {summary.count} "
               f"reports ({summary.skipped} records skipped)")
@@ -284,6 +276,9 @@ def _matching_counts(scans, truth_items, line_tolerance: int) -> ConfusionCounts
 
 
 def cmd_eval(args, config: Config) -> int:
+    if args.truth_file and (args.retrieval or args.truth == "labels"):
+        raise ConfigurationError("--truth-file applies only to the default scanner regime")
+
     records_dir = args.records if args.records else config.scan_dir
     scans = load_scan_directory(records_dir)
     if not scans:
@@ -294,7 +289,7 @@ def cmd_eval(args, config: Config) -> int:
         rows = []
         all_warnings = []
         for name, group in _group_scans_by_mode(scans):
-            metrics, counts, warnings = evaluate_retrieval(group, corpus)
+            metrics, counts, warnings = evaluate_retrieval([s.result for s in group], corpus)
             rows.append((name, metrics, counts))
             all_warnings.extend(warnings)
         _print_warnings(all_warnings)
@@ -303,12 +298,8 @@ def cmd_eval(args, config: Config) -> int:
             raise ConfigurationError("--truth labels needs --labels FILE")
         labels = load_labels(args.labels)
         full_map = {scan.record_id: scan.result for scan in scans}
-        known = set(full_map)
         for label in labels:
-            if label.record_id not in known:
-                raise EvaluationError(
-                    f"label references unknown scan record {label.record_id!r}"
-                )
+            validate_label(label, full_map)
         rows = []
         for name, group in _group_scans_by_mode(scans):
             group_ids = {scan.record_id for scan in group}
@@ -324,8 +315,7 @@ def cmd_eval(args, config: Config) -> int:
             counts = _matching_counts(group, truth_items, args.line_tolerance)
             rows.append((name, compute_metrics(counts), counts))
 
-    output_format = "table" if args.table else args.format
-    if output_format == "json":
+    if args.format == "json":
         payload = {
             "columns": [
                 {
@@ -375,27 +365,15 @@ def cmd_label(args, config: Config) -> int:
     if verdict is Verdict.FALSE_NEGATIVE and finding_index != -1:
         raise ConfigurationError("false_negative labels use finding index -1")
 
-    # Validate the reference before writing anything.
-    scans = load_scan_directory(config.scan_dir)
-    by_id = {scan.record_id: scan.result for scan in scans}
-    if args.record not in by_id:
-        raise RecordIntegrityError(
-            f"no scan record {args.record!r} under {config.scan_dir}"
-        )
-    if verdict is not Verdict.FALSE_NEGATIVE:
-        predicted = by_id[args.record].predicted
-        if not 0 <= finding_index < len(predicted):
-            raise RecordIntegrityError(
-                f"record {args.record!r} has {len(predicted)} findings; "
-                f"index {finding_index} is out of range"
-            )
-
     label = EvalLabel(
         record_id=args.record,
         finding_index=finding_index,
         verdict=verdict,
         note=args.note or "",
     )
+    # Validate the reference before writing anything.
+    scans = load_scan_directory(config.scan_dir)
+    validate_label(label, {scan.record_id: scan.result for scan in scans})
     append_label(labels_path, label)
     print(f"recorded {verdict.value} for {args.record} finding {finding_index}")
     return 0
@@ -454,14 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ground-truth source (default scanner findings)")
     p_eval.add_argument("--labels", help="labels JSONL file (with --truth labels)")
     p_eval.add_argument("--truth-file", help="ground-truth JSONL overriding "
-                                             "scanner findings")
+                                             "scanner findings (scanner regime only)")
     p_eval.add_argument("--retrieval", action="store_true",
                         help="judge retrieved reports against scanner CWEs "
                              "instead of model findings")
     p_eval.add_argument("--line-tolerance", type=int, default=0,
                         help="line-span slack when matching findings (default 0)")
-    p_eval.add_argument("--table", action="store_true",
-                        help="render a metrics table (default unless --format json)")
     p_eval.add_argument("--format", choices=("table", "json"), default="table",
                         help="output format (default table)")
     p_eval.set_defaults(handler=cmd_eval)

@@ -27,8 +27,8 @@ from pathlib import Path
 
 import requests
 
-from .errors import CorpusError, DerivationError, ReportNotFoundError, RemoteFetchError
-from .prompts import ABSTRACTION_PROMPT, parse_code_pattern, render_derivation_prompt
+from .errors import CorpusError, ReportNotFoundError, RemoteFetchError
+from .index import abstract_code
 from .sast import normalize_cwe
 
 logger = logging.getLogger(__name__)
@@ -208,8 +208,7 @@ def extract_code_snippets(report: VulnerabilityReport, llm=None) -> list[CodeSni
         ]
     if llm is None or not body.strip():
         return []
-    response = llm.complete(render_derivation_prompt(ABSTRACTION_PROMPT, body))
-    pattern = parse_code_pattern(response)
+    pattern = abstract_code(body, llm)
     if pattern is None or not pattern.strip():
         return []
     return [CodeSnippet(report.id, 0, pattern, ExtractionMethod.LLM_EXTRACTED)]
@@ -285,14 +284,6 @@ class ReportCorpus:
             raise CorpusError(f"{self._snippets_path}: corrupt catalog: {exc}") from None
         self._catalog_corpus_digest = header.get("corpus_digest")
 
-    def compact(self):
-        """Rewrite reports.jsonl with exactly the live records, in stored order."""
-        tmp = self._reports_path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for report in self._reports.values():
-                handle.write(_canonical_line(report.to_record()) + "\n")
-        tmp.replace(self._reports_path)
-
     def digest(self) -> str:
         """Content digest over the canonical form of every stored report."""
         hasher = hashlib.sha256()
@@ -336,11 +327,7 @@ class ReportCorpus:
                 yield {"__malformed__": line[:100]}
 
     def ingest_reports(self, source) -> IngestSummary:
-        """Ingest report records from a file or directory.
-
-        Duplicate ids (within the input or against the stored corpus) keep
-        the first occurrence and record a warning. Malformed records are
-        skipped with a reason; ingestion continues.
+        """Ingest report records from a file or directory; see ingest_records.
 
         Raises:
             CorpusError: source path unreadable.
@@ -348,13 +335,22 @@ class ReportCorpus:
         source = Path(source)
         if not source.exists():
             raise CorpusError(f"ingest source does not exist: {source}")
-        warnings: list[str] = []
-        skipped = 0
-        appended: list[VulnerabilityReport] = []
         try:
             records = list(self._iter_source_records(source))
         except OSError as exc:
             raise CorpusError(f"cannot read ingest source {source}: {exc}") from None
+        return self.ingest_records(records)
+
+    def ingest_records(self, records) -> IngestSummary:
+        """Ingest raw report records and append the new ones to the store.
+
+        Duplicate ids (within the input or against the stored corpus) keep
+        the first occurrence and record a warning. Malformed records are
+        skipped with a reason; ingestion continues.
+        """
+        warnings: list[str] = []
+        skipped = 0
+        appended: list[VulnerabilityReport] = []
         for index, record in enumerate(records):
             if isinstance(record, dict) and "__malformed__" in record:
                 warnings.append(f"record {index}: not valid JSON, skipped")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .errors import EvaluationError
 from .gateway import PredictedFinding
-from .sast import Finding, filter_findings_for_file, normalize_cwe
+from .sast import Finding, normalize_cwe
 
 logger = logging.getLogger(__name__)
 
@@ -174,10 +174,31 @@ def confusion_from_matching(matching: Matching) -> ConfusionCounts:
     )
 
 
+def validate_label(label: EvalLabel, records):
+    """Check that `label` names a known record and an in-range finding.
+
+    `records` maps record id to ScanResult, or is a set of known ids, which
+    checks the record id only. false_negative labels reference no finding,
+    so their index is not checked.
+
+    Raises:
+        EvaluationError: unknown record, or out-of-range finding index.
+    """
+    if label.record_id not in records:
+        raise EvaluationError(f"no scan record {label.record_id!r}")
+    if hasattr(records, "keys") and label.verdict is not Verdict.FALSE_NEGATIVE:
+        findings = len(records[label.record_id].predicted)
+        if not 0 <= label.finding_index < findings:
+            raise EvaluationError(
+                f"record {label.record_id!r} has {findings} findings; "
+                f"index {label.finding_index} is out of range"
+            )
+
+
 def confusion_from_labels(labels: list[EvalLabel], records) -> ConfusionCounts:
     """Count verdicts over persisted scans.
 
-    `records` maps record id to ScanResult (or is a set of known ids).
+    `records` is as for validate_label, which every label must pass.
     duplicate verdicts are excluded from every count. A later label for the
     same (record, finding index) overrides an earlier one, so an append-only
     labels file stays correctable.
@@ -186,21 +207,9 @@ def confusion_from_labels(labels: list[EvalLabel], records) -> ConfusionCounts:
         EvaluationError: a label references an unknown record or an
             out-of-range finding index.
     """
-    known_ids = set(records.keys()) if hasattr(records, "keys") else set(records)
     effective: dict[tuple[str, int], EvalLabel] = {}
     for label in labels:
-        if label.record_id not in known_ids:
-            raise EvaluationError(f"label references unknown scan record {label.record_id!r}")
-        if (
-            hasattr(records, "keys")
-            and label.verdict is not Verdict.FALSE_NEGATIVE
-            and not 0 <= label.finding_index < len(records[label.record_id].predicted)
-        ):
-            raise EvaluationError(
-                f"label references finding {label.finding_index} of record "
-                f"{label.record_id!r}, which has "
-                f"{len(records[label.record_id].predicted)} findings"
-            )
+        validate_label(label, records)
         effective[(label.record_id, label.finding_index)] = label
     counts = ConfusionCounts()
     for label in effective.values():
@@ -268,28 +277,21 @@ def f1_consistent(precision_pct: float, tp_rate_pct: float, f1_pct: float,
     return abs(harmonic - f1_pct) <= tolerance
 
 
-def evaluate_retrieval(scans, corpus, truth_findings: list[Finding] | None = None
-                       ) -> tuple[MetricsReport, ConfusionCounts, list[str]]:
+def evaluate_retrieval(results, corpus) -> tuple[MetricsReport, ConfusionCounts, list[str]]:
     """Judge retrieval quality against the scanner's CWEs per file.
 
     Each retrieved report counts as tp when its cwe-id appears among the
     scanner's CWEs for that file, else fp; scanner CWEs never covered by any
     retrieved report count as fn. Reports without a cwe-id are skipped with
-    a warning. Truth defaults to each scan's attached scanner findings;
-    pass `truth_findings` to override.
+    a warning. Truth is each result's attached scanner findings.
 
     Returns (metrics, counts, warnings).
     """
     warnings: list[str] = []
     counts = ConfusionCounts()
-    for scan in scans:
-        result = scan.result if hasattr(scan, "result") else scan
-        if truth_findings is not None:
-            findings = filter_findings_for_file(truth_findings, result.target_path)
-        else:
-            findings = result.scanner_findings
+    for result in results:
         truth_cwes = set()
-        for finding in findings:
+        for finding in result.scanner_findings:
             for cwe in finding.cwe_ids:
                 normalized = normalize_cwe(cwe)
                 if normalized is not None:
@@ -321,15 +323,13 @@ def evaluate_retrieval(scans, corpus, truth_findings: list[Finding] | None = Non
 def render_metrics_table(rows) -> str:
     """Render named metric reports as a fixed-column text table.
 
-    `rows` is a list of (name, MetricsReport) pairs or a mapping. Columns are
+    `rows` is a list of (name, MetricsReport) pairs. Columns are
     approaches; rows are the five measures in canonical order. Flagged zero
     ratios are marked with "*" and footnoted.
 
     Raises:
         EvaluationError: no rows.
     """
-    if hasattr(rows, "items"):
-        rows = list(rows.items())
     if not rows:
         raise EvaluationError("cannot render an empty metrics table")
 

@@ -405,8 +405,8 @@ class VectorIndex:
         return self.search_embedded(embedder.embed(derived), k)
 
 
-def correlate(hits: list[SearchHit], corpus) -> list:
-    """Map hits back to their reports, deduplicated by report id.
+def correlate(hits: list[SearchHit], corpus) -> list[tuple[object, float]]:
+    """Map hits back to (report, similarity) pairs, deduplicated by report id.
 
     Keeps the first (best-similarity) occurrence per report; output order is
     descending best similarity as inherited from the hit order.
@@ -415,7 +415,7 @@ def correlate(hits: list[SearchHit], corpus) -> list:
         IndexIntegrityError: a hit's sequence is unknown to the corpus
             catalog (index/corpus version mismatch).
     """
-    reports = []
+    pairs = []
     seen: set[int] = set()
     for hit in hits:
         try:
@@ -428,5 +428,5 @@ def correlate(hits: list[SearchHit], corpus) -> list:
         if snippet.report_id in seen:
             continue
         seen.add(snippet.report_id)
-        reports.append(corpus.get_report(snippet.report_id))
-    return reports
+        pairs.append((corpus.get_report(snippet.report_id), hit.similarity))
+    return pairs

@@ -31,14 +31,13 @@ from .errors import (
     ConfigurationError,
     DerivationError,
     GatewayError,
-    IndexIntegrityError,
     LsastError,
     RecordIntegrityError,
     ScanError,
     SearchError,
 )
 from .gateway import PredictedFinding, parse_scan_response
-from .index import DEFAULT_K, DerivationCache
+from .index import DEFAULT_K, DerivationCache, correlate
 from .prompts import DEFAULT_PROMPT_CHAR_BUDGET, TEMPLATE_VERSION, build_scan_prompt
 from .sast import Finding, filter_findings_for_file, format_findings
 
@@ -195,14 +194,11 @@ def _validate_dependencies(mode: RetrievalMode, context: ScanContext):
         if context.embedder is None:
             raise ConfigurationError(f"mode {mode.value} needs an embedder")
         corpus_digest = context.corpus.digest()
-        for label, index in (
-            ("functionality", context.functionality_index),
-            ("abstraction", context.abstraction_index),
+        for label, used, index in (
+            ("functionality", mode.uses_functionality, context.functionality_index),
+            ("abstraction", mode.uses_abstraction, context.abstraction_index),
         ):
-            wanted = (label == "functionality" and mode.uses_functionality) or (
-                label == "abstraction" and mode.uses_abstraction
-            )
-            if not wanted:
+            if not used:
                 continue
             if index is None:
                 raise ConfigurationError(
@@ -212,25 +208,6 @@ def _validate_dependencies(mode: RetrievalMode, context: ScanContext):
                 raise ConfigurationError(
                     f"{label} index was built against a different corpus state; rebuild it"
                 )
-
-
-def _correlated_with_sims(hits, corpus) -> list[tuple[object, float]]:
-    """Resolve hits to (report, best similarity), deduplicated by report id."""
-    out = []
-    seen: set[int] = set()
-    for hit in hits:
-        try:
-            snippet = corpus.resolve_sequence(hit.entry.sequence)
-        except KeyError:
-            raise IndexIntegrityError(
-                f"sequence {hit.entry.sequence} not in the corpus snippet catalog; "
-                "index and corpus are out of sync"
-            ) from None
-        if snippet.report_id in seen:
-            continue
-        seen.add(snippet.report_id)
-        out.append((corpus.get_report(snippet.report_id), hit.similarity))
-    return out
 
 
 def _merge_retrievals(func_pairs, abs_pairs) -> list:
@@ -310,13 +287,13 @@ def run_scan(target, mode: RetrievalMode, k: int = DEFAULT_K,
                 hits = context.functionality_index.search(
                     source, k, context.gateway, context.embedder, context.cache
                 )
-                func_pairs = _correlated_with_sims(hits, context.corpus)
+                func_pairs = correlate(hits, context.corpus)
                 retrieved_ids["functionality"] = [r.id for r, _ in func_pairs]
             if mode.uses_abstraction:
                 hits = context.abstraction_index.search(
                     source, k, context.gateway, context.embedder, context.cache
                 )
-                abs_pairs = _correlated_with_sims(hits, context.corpus)
+                abs_pairs = correlate(hits, context.corpus)
                 retrieved_ids["abstraction"] = [r.id for r, _ in abs_pairs]
         except (GatewayError, DerivationError, SearchError) as exc:
             raise ScanError(
@@ -358,7 +335,6 @@ def run_scan(target, mode: RetrievalMode, k: int = DEFAULT_K,
     partial.none_found = parsed.none_found
     partial.parse_degraded = parsed.parse_degraded
     partial.raw_response = parsed.raw_text
-    partial.timings = timings
     return partial
 
 
@@ -429,23 +405,30 @@ def run_scan_batch(targets, mode: RetrievalMode, k: int = DEFAULT_K,
 
 # -- persistence ------------------------------------------------------------
 
-def _canonical_essence(result_payload: dict) -> str:
-    """Canonical serialization of a result payload minus volatile fields."""
-    stable = {key: value for key, value in result_payload.items() if key != "timings"}
-    return json.dumps(stable, sort_keys=True, ensure_ascii=False)
+_VOLATILE_KEYS = ("persisted_at", "timings")
 
 
 def record_essence(record: dict) -> str:
-    """Canonical bytes of a persisted record minus timestamps and timings.
+    """Canonical JSON of a record minus its run-dependent keys.
 
-    Two runs of the same deterministic scan agree on this string even though
-    their files differ in persisted_at and timing values.
+    persisted_at and timings are dropped at the top level and inside
+    "result". Two runs of the same deterministic scan agree on this string
+    even though their files differ in persisted_at and timing values. Over a
+    bare result payload it is the string the content digest covers.
     """
-    stable = {key: value for key, value in record.items() if key != "persisted_at"}
-    stable["result"] = {
-        key: value for key, value in record["result"].items() if key != "timings"
-    }
-    return json.dumps(stable, sort_keys=True, ensure_ascii=False)
+
+    def stable(data: dict) -> dict:
+        return {
+            key: stable(value) if key == "result" and isinstance(value, dict) else value
+            for key, value in data.items()
+            if key not in _VOLATILE_KEYS
+        }
+
+    return json.dumps(stable(record), sort_keys=True, ensure_ascii=False)
+
+
+def _content_digest(payload: dict) -> str:
+    return hashlib.sha256(record_essence(payload).encode("utf-8")).hexdigest()
 
 
 def persist_scan(result: ScanResult, out_dir) -> Path:
@@ -464,7 +447,7 @@ def persist_scan(result: ScanResult, out_dir) -> Path:
     except OSError as exc:
         raise ScanError(f"cannot create scan record directory {out_dir}: {exc}") from None
     payload = result.to_dict()
-    content_digest = hashlib.sha256(_canonical_essence(payload).encode("utf-8")).hexdigest()
+    content_digest = _content_digest(payload)
     record = {
         "record_version": RECORD_VERSION,
         "record_id": content_digest[:12],
@@ -473,12 +456,16 @@ def persist_scan(result: ScanResult, out_dir) -> Path:
         "result": payload,
     }
     path = out_dir / f"scan-{record['record_id']}-{time.time_ns()}.json"
+    # an interrupted write must not leave a truncated scan-*.json behind
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        path.write_text(
+        tmp.write_text(
             json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
             encoding="utf-8",
         )
+        tmp.replace(path)
     except OSError as exc:
+        tmp.unlink(missing_ok=True)
         raise ScanError(f"cannot write scan record {path}: {exc}") from None
     return path
 
@@ -510,8 +497,7 @@ def load_scan(path) -> PersistedScan:
         persisted_at = record["persisted_at"]
     except (KeyError, TypeError):
         raise RecordIntegrityError(f"scan record {path} is missing required fields") from None
-    actual = hashlib.sha256(_canonical_essence(payload).encode("utf-8")).hexdigest()
-    if actual != expected:
+    if _content_digest(payload) != expected:
         raise RecordIntegrityError(
             f"scan record {path} content digest mismatch (corrupt or tampered)"
         )

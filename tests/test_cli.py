@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -73,7 +74,7 @@ class TestWalkthrough:
         assert len(records) == 1
         record_id = json.loads(records[0].read_text())["record_id"]
 
-        assert run(workspace, "eval", "--table") == 0
+        assert run(workspace, "eval", "--format", "table") == 0
         table = capsys.readouterr().out
         assert "Measure" in table
         assert "combined_lsast" in table
@@ -195,6 +196,69 @@ class TestLabelValidation:
         assert run(workspace, "label", "--labels", workspace["labels"],
                    "--list") == 0
         assert "no labels" in capsys.readouterr().out
+
+
+class TestEvalRegimes:
+    def _scanned(self, workspace, capsys):
+        run(workspace, "scan", workspace["target"], "--mode", "raw_lsast",
+            "--sast-json", workspace["sast"], "--out", str(workspace["scan_dir"]))
+        capsys.readouterr()
+        record = list(workspace["scan_dir"].glob("scan-*.json"))[0]
+        return json.loads(record.read_text())["record_id"]
+
+    @pytest.mark.parametrize("regime", [["--retrieval"], ["--truth", "labels"]])
+    def test_truth_file_outside_scanner_regime_rejected(self, workspace, capsys,
+                                                        tmp_path, regime):
+        self._scanned(workspace, capsys)
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text(json.dumps({"file": "handler.js", "cwe": "79",
+                                     "line_start": 1}) + "\n")
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text("")
+        assert run(workspace, "eval", *regime, "--labels", str(labels),
+                   "--truth-file", str(truth)) == 1
+        assert "--truth-file" in capsys.readouterr().err
+
+    def test_label_out_of_range_finding_rejected(self, workspace, capsys, tmp_path):
+        record_id = self._scanned(workspace, capsys)
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text(json.dumps({"record": record_id, "finding": 3,
+                                      "verdict": "tp"}) + "\n")
+        assert run(workspace, "eval", "--truth", "labels",
+                   "--labels", str(labels)) == 1
+        assert "out of range" in capsys.readouterr().err
+
+
+class TestIngestFetch:
+    def test_fetched_records_ingested_without_staging(self, workspace, tmp_path,
+                                                      report_dicts, monkeypatch,
+                                                      capsys):
+        import tempfile
+
+        import lsast.cli
+
+        config_path = tmp_path / "fetch-config.json"
+        config = json.loads(Path(workspace["config"]).read_text())
+        config["fetch_endpoint"] = "https://reports.invalid/api"
+        config_path.write_text(json.dumps(config))
+        fetched = [*report_dicts, dict(report_dicts[0], title="again"),
+                   {"title": "no id at all"}]
+        monkeypatch.setattr(lsast.cli, "fetch_reports_remote",
+                            lambda endpoint, **kwargs: fetched)
+
+        def no_staging(*args, **kwargs):
+            raise AssertionError("fetched records were staged in a temp file")
+
+        monkeypatch.setattr(tempfile, "mkstemp", no_staging)
+        monkeypatch.setattr(tempfile, "NamedTemporaryFile", no_staging)
+
+        assert main(["--config", str(config_path), "ingest", "--fetch",
+                     "--no-catalog"]) == 0
+        captured = capsys.readouterr()
+        assert "fetched 5 records: corpus now holds 3 reports (1 records skipped)" \
+            in captured.out
+        assert f"record 3: duplicate id {report_dicts[0]['id']}, first kept" in captured.err
+        assert "record 4: report record has no usable id, skipped" in captured.err
 
 
 class TestConfigErrors:

@@ -264,10 +264,13 @@ class TestTextSearch:
                                      llm=MockGateway(), embedder=embedder)
         hits = index.search("find user rows by login name", 3,
                             llm=MockGateway(), embedder=embedder)
-        reports = correlate(hits, corpus)
-        ids = [r.id for r in reports]
+        pairs = correlate(hits, corpus)
+        ids = [report.id for report, _ in pairs]
         assert len(ids) == len(set(ids))
         assert set(ids) <= {1, 2, 3}
+        sims = [sim for _, sim in pairs]
+        assert sims == sorted(sims, reverse=True)
+        assert sims[0] == hits[0].similarity
 
     def test_correlate_rejects_unknown_sequence(self, corpus):
         entry = IndexEntry(sequence=999, kind=IndexKind.FUNCTIONALITY,

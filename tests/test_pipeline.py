@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -337,6 +338,24 @@ class TestPersistence:
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(RecordIntegrityError):
             load_scan_directory(tmp_path / "nowhere")
+
+    def test_interrupted_write_leaves_no_record(self, js_target, context, tmp_path,
+                                                monkeypatch):
+        result = run_scan(js_target, RetrievalMode.RAW, context=context)
+        out = tmp_path / "scans"
+        out.mkdir()
+        real_write_text = Path.write_text
+
+        def write_half_then_fail(self, data, *args, **kwargs):
+            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(ScanError):
+            persist_scan(result, out)
+        monkeypatch.undo()
+        assert list(out.iterdir()) == []
+        assert load_scan_directory(out) == []
 
 
 class TestDeterminism:
