@@ -85,7 +85,7 @@ from .pipeline import (
     run_scan,
     run_scan_batch,
 )
-from .prompts import BuiltPrompt, build_scan_prompt, format_bearer_result, template_digest
+from .prompts import BuiltPrompt, build_scan_prompt, format_bearer_result
 from .sast import (
     Finding,
     ParsedReport,

@@ -11,7 +11,6 @@ normalization idempotent, which makes annotate/strip an exact identity on
 normalized text.
 """
 
-import hashlib
 import re
 from dataclasses import dataclass
 
@@ -29,12 +28,10 @@ class AnnotatedSource:
     Attributes:
         text: the annotated text, no trailing newline.
         line_count: number of annotated lines (0 for empty input).
-        original_digest: sha256 hex digest of the normalized original source.
     """
 
     text: str
     line_count: int
-    original_digest: str
 
 
 def normalize_newlines(source: str) -> str:
@@ -58,16 +55,15 @@ def annotate_lines(source: str, line_budget: int = DEFAULT_LINE_BUDGET) -> Annot
         AnnotationError: when the file exceeds the line budget.
     """
     normalized = normalize_newlines(source)
-    digest = hashlib.sha256(normalized.encode("utf-8")).hexdigest()
     if not normalized:
-        return AnnotatedSource(text="", line_count=0, original_digest=digest)
+        return AnnotatedSource(text="", line_count=0)
     lines = normalized.split("\n")
     if line_budget is not None and len(lines) > line_budget:
         raise AnnotationError(
             f"source has {len(lines)} lines, exceeding the line budget of {line_budget}"
         )
     text = "\n".join(f"line {i}: {line}" for i, line in enumerate(lines, 1))
-    return AnnotatedSource(text=text, line_count=len(lines), original_digest=digest)
+    return AnnotatedSource(text=text, line_count=len(lines))
 
 
 def strip_annotations(annotated: str) -> str:

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 operational failure, 2 usage error.
 """
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -34,6 +33,7 @@ from .evaluation import (
 )
 from .gateway import ChatClient, MockGateway, render_finding
 from .index import HttpEmbedder, IndexKind, OfflineEmbedder, VectorIndex
+from .jsonio import canonical_json
 from .pipeline import (
     RetrievalMode,
     ScanContext,
@@ -246,7 +246,7 @@ def cmd_scan(args, config: Config) -> int:
             path = persist_scan(outcome, args.out)
             print(f"wrote {path}", file=sys.stderr)
         if args.format == "jsonl":
-            print(json.dumps(outcome.to_dict(), sort_keys=True, ensure_ascii=False))
+            print(canonical_json(outcome.to_dict()))
         else:
             _print_result_text(outcome)
     return 1 if failures else 0
@@ -333,7 +333,7 @@ def cmd_eval(args, config: Config) -> int:
                 for name, metrics, c in rows
             ]
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(canonical_json(payload, indent=2))
     else:
         print(render_metrics_table([(name, metrics) for name, metrics, _ in rows]))
     return 0

@@ -12,7 +12,11 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from .annotate import DEFAULT_LINE_BUDGET
 from .errors import ConfigurationError
+from .index import DEFAULT_DIMENSION, DEFAULT_K
+from .prompts import DEFAULT_PROMPT_CHAR_BUDGET
+from .sast import DEFAULT_SCANNER_TIMEOUT
 
 ENV_PREFIX = "LSAST_"
 
@@ -27,19 +31,19 @@ class Config:
     chat_model: str = "gpt-4"
     embed_endpoint: str = ""
     embed_model: str = ""
-    embed_dimension: int = 256
+    embed_dimension: int = DEFAULT_DIMENSION
     scanner_command: str = ""
-    scanner_timeout: float = 300.0
+    scanner_timeout: float = DEFAULT_SCANNER_TIMEOUT
     corpus_dir: str = "corpus"
     index_dir: str = "indexes"
     scan_dir: str = "scans"
     fetch_endpoint: str = ""
-    k: int = 3
+    k: int = DEFAULT_K
     temperature: float = 0.0
     max_tokens: int = 2048
     parallelism: int = 1
-    line_budget: int = 2000
-    prompt_char_budget: int = 24000
+    line_budget: int = DEFAULT_LINE_BUDGET
+    prompt_char_budget: int = DEFAULT_PROMPT_CHAR_BUDGET
     retries: int = 2
 
 

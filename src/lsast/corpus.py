@@ -29,6 +29,7 @@ import requests
 
 from .errors import CorpusError, ReportNotFoundError, RemoteFetchError
 from .index import abstract_code
+from .jsonio import canonical_json, read_jsonl, replacing
 from .sast import normalize_cwe
 
 logger = logging.getLogger(__name__)
@@ -179,10 +180,6 @@ class CatalogSummary:
     reports_without_code: int = 0
 
 
-def _canonical_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, ensure_ascii=False)
-
-
 def extract_code_snippets(report: VulnerabilityReport, llm=None) -> list[CodeSnippet]:
     """Pull code snippets out of a report body.
 
@@ -244,20 +241,15 @@ class ReportCorpus:
 
     def _load(self):
         if self._reports_path.exists():
-            with open(self._reports_path, encoding="utf-8") as handle:
-                for line_no, line in enumerate(handle, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                        report, _ = VulnerabilityReport.from_record(record)
-                    except (json.JSONDecodeError, ValueError) as exc:
-                        raise CorpusError(
-                            f"{self._reports_path}:{line_no}: corrupt record: {exc}"
-                        ) from None
-                    # first occurrence wins, matching ingest semantics
-                    self._reports.setdefault(report.id, report)
+            for line_no, record in read_jsonl(self._reports_path, CorpusError):
+                try:
+                    report, _ = VulnerabilityReport.from_record(record)
+                except ValueError as exc:
+                    raise CorpusError(
+                        f"{self._reports_path}:{line_no}: corrupt record: {exc}"
+                    ) from None
+                # first occurrence wins, matching ingest semantics
+                self._reports.setdefault(report.id, report)
         self._load_catalog()
 
     def _load_catalog(self):
@@ -265,30 +257,28 @@ class ReportCorpus:
         self._catalog_corpus_digest = None
         if not self._snippets_path.exists():
             return
-        with open(self._snippets_path, encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle if line.strip()]
-        if not lines:
-            return
-        try:
-            header = json.loads(lines[0])
-            for line in lines[1:]:
-                record = json.loads(line)
-                snippet = CodeSnippet(
+        records = read_jsonl(self._snippets_path, CorpusError)
+        for position, (line_no, record) in enumerate(records):
+            try:
+                if position == 0:  # the header
+                    self._catalog_corpus_digest = record.get("corpus_digest")
+                    continue
+                self._sequences[record["sequence"]] = CodeSnippet(
                     report_id=record["report_id"],
                     ordinal=record["ordinal"],
                     text=record["text"],
                     extraction_method=ExtractionMethod(record["method"]),
                 )
-                self._sequences[record["sequence"]] = snippet
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise CorpusError(f"{self._snippets_path}: corrupt catalog: {exc}") from None
-        self._catalog_corpus_digest = header.get("corpus_digest")
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise CorpusError(
+                    f"{self._snippets_path}:{line_no}: corrupt catalog: {exc}"
+                ) from None
 
     def digest(self) -> str:
         """Content digest over the canonical form of every stored report."""
         hasher = hashlib.sha256()
         for report in self._reports.values():
-            hasher.update(_canonical_line(report.to_record()).encode("utf-8"))
+            hasher.update(canonical_json(report.to_record()).encode("utf-8"))
             hasher.update(b"\n")
         return hasher.hexdigest()
 
@@ -371,7 +361,7 @@ class ReportCorpus:
         if appended:
             with open(self._reports_path, "a", encoding="utf-8") as handle:
                 for report in appended:
-                    handle.write(_canonical_line(report.to_record()) + "\n")
+                    handle.write(canonical_json(report.to_record()) + "\n")
         return IngestSummary(count=len(self._reports), skipped=skipped, warnings=warnings)
 
     # -- access -----------------------------------------------------------
@@ -414,12 +404,11 @@ class ReportCorpus:
             "version": self.CATALOG_VERSION,
             "corpus_digest": self.digest(),
         }
-        tmp = self._snippets_path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(_canonical_line(header) + "\n")
+        with (replacing(self._snippets_path, CorpusError) as tmp,
+              open(tmp, "w", encoding="utf-8") as handle):
+            handle.write(canonical_json(header) + "\n")
             for sequence, snippet in sequences.items():
-                handle.write(_canonical_line(snippet.to_record(sequence)) + "\n")
-        tmp.replace(self._snippets_path)
+                handle.write(canonical_json(snippet.to_record(sequence)) + "\n")
         self._sequences = sequences
         self._catalog_corpus_digest = header["corpus_digest"]
         return CatalogSummary(

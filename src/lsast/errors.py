@@ -46,7 +46,7 @@ class PromptBudgetError(LsastError):
 
 
 class IndexIntegrityError(LsastError):
-    """Index and corpus disagree (dangling sequence, corrupt index file)."""
+    """Index file unreadable, unwritable or corrupt, or index and corpus disagree."""
 
 
 class EmbedderMismatchError(IndexIntegrityError):

@@ -11,7 +11,6 @@ negatives never arise. Ratios with a zero denominator are defined as 0 and
 flagged rather than left undefined, keeping table rendering total.
 """
 
-import json
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,6 +18,7 @@ from pathlib import Path
 
 from .errors import EvaluationError
 from .gateway import PredictedFinding
+from .jsonio import canonical_json, read_jsonl
 from .sast import Finding, normalize_cwe
 
 logger = logging.getLogger(__name__)
@@ -383,17 +383,9 @@ def load_ground_truth(path) -> list[GroundTruthItem]:
     Raises:
         EvaluationError: unreadable file or malformed record.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise EvaluationError(f"cannot read ground truth {path}: {exc}") from None
     items = []
-    for line_no, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
+    for line_no, record in read_jsonl(path, EvaluationError):
         try:
-            record = json.loads(line)
             cwe = normalize_cwe(record["cwe"])
             if cwe is None:
                 raise ValueError(f"unparseable cwe {record['cwe']!r}")
@@ -405,7 +397,7 @@ def load_ground_truth(path) -> list[GroundTruthItem]:
                 line_start=start,
                 line_end=end,
             ))
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise EvaluationError(f"{path}:{line_no}: bad ground-truth record: {exc}") from None
     return items
 
@@ -420,24 +412,16 @@ def load_labels(path) -> list[EvalLabel]:
     Raises:
         EvaluationError: unreadable file or malformed record.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise EvaluationError(f"cannot read labels {path}: {exc}") from None
     labels = []
-    for line_no, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
+    for line_no, record in read_jsonl(path, EvaluationError):
         try:
-            record = json.loads(line)
             labels.append(EvalLabel(
                 record_id=str(record["record"]),
                 finding_index=int(record["finding"]),
                 verdict=Verdict.parse(record["verdict"]),
                 note=str(record.get("note", "")),
             ))
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        except (EvaluationError, KeyError, ValueError, TypeError) as exc:
             raise EvaluationError(f"{path}:{line_no}: bad label record: {exc}") from None
     return labels
 
@@ -453,4 +437,4 @@ def append_label(path, label: EvalLabel):
         "note": label.note,
     }
     with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+        handle.write(canonical_json(record) + "\n")

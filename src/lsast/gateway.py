@@ -83,25 +83,6 @@ class PredictedFinding:
     line_end: int
     code_snippet: str
 
-    def to_dict(self) -> dict:
-        return {
-            "cwe_id": self.cwe_id,
-            "reason": self.reason,
-            "line_start": self.line_start,
-            "line_end": self.line_end,
-            "code_snippet": self.code_snippet,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PredictedFinding":
-        return cls(
-            cwe_id=data["cwe_id"],
-            reason=data["reason"],
-            line_start=data["line_start"],
-            line_end=data["line_end"],
-            code_snippet=data["code_snippet"],
-        )
-
 
 @dataclass
 class ScanResponse:

@@ -13,7 +13,6 @@ with the deterministic embedder reproduces the file bitwise.
 """
 
 import hashlib
-import json
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,6 +27,7 @@ from .errors import (
     IndexIntegrityError,
     SearchError,
 )
+from .jsonio import canonical_json, read_jsonl, replacing
 from .prompts import (
     ABSTRACTION_PROMPT,
     FUNCTIONALITY_PROMPT,
@@ -309,8 +309,13 @@ class VectorIndex:
     # -- persistence ------------------------------------------------------
 
     def save(self, path) -> Path:
+        """Write the index file atomically.
+
+        Raises:
+            IndexIntegrityError: the file cannot be written; any previous
+                file at `path` is left as it was.
+        """
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         header = {
             "version": self.FILE_VERSION,
             "kind": self.kind.value,
@@ -319,54 +324,45 @@ class VectorIndex:
             "corpus_digest": self.corpus_digest,
             "entries": len(self.entries),
         }
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
+        with (replacing(path, IndexIntegrityError) as tmp,
+              open(tmp, "w", encoding="utf-8") as handle):
+            handle.write(canonical_json(header) + "\n")
             for entry in self.entries:
-                handle.write(json.dumps(entry.to_record(), sort_keys=True) + "\n")
-        tmp.replace(path)
+                handle.write(canonical_json(entry.to_record()) + "\n")
         return path
 
     @classmethod
     def load(cls, path) -> "VectorIndex":
         path = Path(path)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
-        except OSError as exc:
-            raise IndexIntegrityError(f"cannot read index {path}: {exc}") from None
-        if not lines:
-            raise IndexIntegrityError(f"index file {path} is empty")
-        try:
-            header = json.loads(lines[0])
-            kind = IndexKind(header["kind"])
-            dimension = int(header["dimension"])
-            declared = int(header["entries"])
-            entries = []
-            for line in lines[1:]:
-                if not line.strip():
+        header = None
+        entries = []
+        for line_no, record in read_jsonl(path, IndexIntegrityError):
+            try:
+                if header is None:
+                    header = {
+                        "kind": IndexKind(record["kind"]),
+                        "dimension": int(record["dimension"]),
+                        "embedder_id": record["embedder_id"],
+                        "corpus_digest": record["corpus_digest"],
+                    }
+                    declared = int(record["entries"])
                     continue
-                record = json.loads(line)
                 entries.append(IndexEntry(
                     sequence=int(record["sequence"]),
-                    kind=kind,
+                    kind=header["kind"],
                     derived_text=record["derived_text"],
                     embedding=np.asarray(record["embedding"], dtype=np.float64),
                 ))
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-            raise IndexIntegrityError(f"corrupt index file {path}: {exc}") from None
+            except (KeyError, ValueError, TypeError) as exc:
+                raise IndexIntegrityError(f"{path}:{line_no}: corrupt index file: {exc}") from None
+        if header is None:
+            raise IndexIntegrityError(f"index file {path} is empty")
         if len(entries) != declared:
             raise IndexIntegrityError(
                 f"index file {path} declares {declared} entries, found {len(entries)} "
                 "(truncated?)"
             )
-        return cls(
-            kind=kind,
-            dimension=dimension,
-            embedder_id=header["embedder_id"],
-            corpus_digest=header["corpus_digest"],
-            entries=entries,
-        )
+        return cls(**header, entries=entries)
 
     # -- search -----------------------------------------------------------
 

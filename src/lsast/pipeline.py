@@ -21,7 +21,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -38,6 +38,7 @@ from .errors import (
 )
 from .gateway import PredictedFinding, parse_scan_response
 from .index import DEFAULT_K, DerivationCache, correlate
+from .jsonio import canonical_json, replacing
 from .prompts import DEFAULT_PROMPT_CHAR_BUDGET, TEMPLATE_VERSION, build_scan_prompt
 from .sast import Finding, filter_findings_for_file, format_findings
 
@@ -133,44 +134,16 @@ class ScanResult:
     timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "target_path": self.target_path,
-            "mode": self.mode.value,
-            "k": self.k,
-            "scanner_findings": [f.to_dict() for f in self.scanner_findings],
-            "retrieved_report_ids": {
-                "functionality": list(self.retrieved_report_ids.get("functionality", [])),
-                "abstraction": list(self.retrieved_report_ids.get("abstraction", [])),
-            },
-            "included_report_ids": list(self.included_report_ids),
-            "dropped_report_ids": list(self.dropped_report_ids),
-            "predicted": [f.to_dict() for f in self.predicted],
-            "none_found": self.none_found,
-            "parse_degraded": self.parse_degraded,
-            "raw_response": self.raw_response,
-            "prompt_digest": self.prompt_digest,
-            "template_version": self.template_version,
-            "timings": dict(self.timings),
-        }
+        return {**asdict(self), "mode": self.mode.value}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScanResult":
-        return cls(
-            target_path=data["target_path"],
-            mode=RetrievalMode(data["mode"]),
-            k=data["k"],
-            scanner_findings=[Finding.from_dict(f) for f in data["scanner_findings"]],
-            retrieved_report_ids=data["retrieved_report_ids"],
-            included_report_ids=data["included_report_ids"],
-            dropped_report_ids=data["dropped_report_ids"],
-            predicted=[PredictedFinding.from_dict(f) for f in data["predicted"]],
-            none_found=data["none_found"],
-            parse_degraded=data["parse_degraded"],
-            raw_response=data["raw_response"],
-            prompt_digest=data["prompt_digest"],
-            template_version=data["template_version"],
-            timings=data.get("timings", {}),
-        )
+        return cls(**{
+            **data,
+            "mode": RetrievalMode(data["mode"]),
+            "scanner_findings": [Finding(**f) for f in data["scanner_findings"]],
+            "predicted": [PredictedFinding(**f) for f in data["predicted"]],
+        })
 
 
 @dataclass
@@ -338,11 +311,11 @@ def run_scan(target, mode: RetrievalMode, k: int = DEFAULT_K,
     return partial
 
 
-def expand_targets(targets, extensions=TARGET_EXTENSIONS) -> list[Path]:
+def expand_targets(targets) -> list[Path]:
     """Expand files and directories into the concrete scan list.
 
     Explicit files are kept as given; directories contribute their tree's
-    files whose suffix is in `extensions`, sorted for determinism.
+    files whose suffix is in TARGET_EXTENSIONS, sorted for determinism.
 
     Raises:
         ConfigurationError: a target does not exist.
@@ -352,7 +325,8 @@ def expand_targets(targets, extensions=TARGET_EXTENSIONS) -> list[Path]:
         path = Path(target)
         if path.is_dir():
             expanded.extend(sorted(
-                (p for p in path.rglob("*") if p.is_file() and p.suffix.lower() in extensions),
+                (p for p in path.rglob("*")
+                 if p.is_file() and p.suffix.lower() in TARGET_EXTENSIONS),
                 key=lambda p: p.as_posix(),
             ))
         elif path.is_file():
@@ -424,7 +398,7 @@ def record_essence(record: dict) -> str:
             if key not in _VOLATILE_KEYS
         }
 
-    return json.dumps(stable(record), sort_keys=True, ensure_ascii=False)
+    return canonical_json(stable(record))
 
 
 def _content_digest(payload: dict) -> str:
@@ -441,11 +415,6 @@ def persist_scan(result: ScanResult, out_dir) -> Path:
     Raises:
         ScanError: out_dir cannot be created or written.
     """
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ScanError(f"cannot create scan record directory {out_dir}: {exc}") from None
     payload = result.to_dict()
     content_digest = _content_digest(payload)
     record = {
@@ -455,18 +424,9 @@ def persist_scan(result: ScanResult, out_dir) -> Path:
         "persisted_at": datetime.now(timezone.utc).isoformat(),
         "result": payload,
     }
-    path = out_dir / f"scan-{record['record_id']}-{time.time_ns()}.json"
-    # an interrupted write must not leave a truncated scan-*.json behind
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(
-            json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        tmp.replace(path)
-    except OSError as exc:
-        tmp.unlink(missing_ok=True)
-        raise ScanError(f"cannot write scan record {path}: {exc}") from None
+    path = Path(out_dir) / f"scan-{record['record_id']}-{time.time_ns()}.json"
+    with replacing(path, ScanError) as tmp:
+        tmp.write_text(canonical_json(record, indent=2) + "\n", encoding="utf-8")
     return path
 
 
@@ -488,7 +448,7 @@ def load_scan(path) -> PersistedScan:
     path = Path(path)
     try:
         record = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise RecordIntegrityError(f"cannot load scan record {path}: {exc}") from None
     try:
         payload = record["result"]
@@ -497,6 +457,8 @@ def load_scan(path) -> PersistedScan:
         persisted_at = record["persisted_at"]
     except (KeyError, TypeError):
         raise RecordIntegrityError(f"scan record {path} is missing required fields") from None
+    if not isinstance(payload, dict):
+        raise RecordIntegrityError(f"scan record {path} result is not an object")
     if _content_digest(payload) != expected:
         raise RecordIntegrityError(
             f"scan record {path} content digest mismatch (corrupt or tampered)"

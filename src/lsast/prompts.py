@@ -11,7 +11,6 @@ substituted code routinely contains braces. {bearer_result} is substituted
 before {target_code} so injected code cannot smuggle a placeholder token.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 from .errors import DerivationError, PromptBudgetError
@@ -93,10 +92,6 @@ REPORT_SECTION_HEADER = "Relevant vulnerability reports:"
 # Instruction-block anchor shared by both scan templates; the report section
 # is inserted immediately before it, between code and instructions.
 _INSTRUCTION_ANCHOR = "You are a very efficient vulnerability scanner.\n"
-
-
-def template_digest(template: str) -> str:
-    return hashlib.sha256(template.encode("utf-8")).hexdigest()
 
 
 def format_bearer_result(findings: list[FormattedFinding]) -> str:

@@ -59,31 +59,6 @@ class Finding:
     line_end: int
     severity: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "cwe_ids": list(self.cwe_ids),
-            "rule_id": self.rule_id,
-            "title": self.title,
-            "description": self.description,
-            "file_path": self.file_path,
-            "line_start": self.line_start,
-            "line_end": self.line_end,
-            "severity": self.severity,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        return cls(
-            cwe_ids=list(data["cwe_ids"]),
-            rule_id=data["rule_id"],
-            title=data["title"],
-            description=data["description"],
-            file_path=data["file_path"],
-            line_start=data["line_start"],
-            line_end=data["line_end"],
-            severity=data.get("severity"),
-        )
-
 
 @dataclass(frozen=True)
 class FormattedFinding:

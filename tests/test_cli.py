@@ -146,6 +146,18 @@ class TestExitCodes:
         assert run(workspace, "eval") == 1
         assert "no scan records" in capsys.readouterr().err
 
+    def test_index_dir_under_a_file_fails_cleanly(self, workspace, tmp_path, capsys):
+        assert run(workspace, "ingest", "--reports", workspace["reports"]) == 0
+        (tmp_path / "idxfile").write_text("not a directory\n")
+        config = json.loads(Path(workspace["config"]).read_text())
+        config["index_dir"] = str(tmp_path / "idxfile" / "sub")
+        Path(workspace["config"]).write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run(workspace, "index") == 1
+        err = capsys.readouterr().err
+        assert "error: cannot write" in err
+        assert "functionality.jsonl" in err
+
     def test_scan_failure_exits_one(self, workspace, capsys):
         run(workspace, "ingest", "--reports", workspace["reports"])
         run(workspace, "index")

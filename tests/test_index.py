@@ -227,6 +227,29 @@ class TestBuildAndPersist:
         with pytest.raises(IndexIntegrityError):
             VectorIndex.load(path)
 
+    def test_failed_save_keeps_previous_file(self, corpus, embedder, tmp_path, monkeypatch):
+        index, _ = VectorIndex.build(corpus, IndexKind.FUNCTIONALITY,
+                                     llm=MockGateway(), embedder=embedder)
+        assert len(index) > 1
+        path = tmp_path / "indexes" / "f.jsonl"
+        index.save(path)
+        before = path.read_bytes()
+        real_to_record = IndexEntry.to_record
+        written = []
+
+        def fail_on_second_entry(entry):
+            if written:
+                raise OSError(28, "No space left on device")
+            written.append(entry.sequence)
+            return real_to_record(entry)
+
+        monkeypatch.setattr(IndexEntry, "to_record", fail_on_second_entry)
+        with pytest.raises(IndexIntegrityError) as exc:
+            index.save(path)
+        assert str(path) in str(exc.value)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == ["f.jsonl"]
+
     def test_missing_file_refused(self, tmp_path):
         with pytest.raises(IndexIntegrityError):
             VectorIndex.load(tmp_path / "absent.jsonl")

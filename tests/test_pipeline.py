@@ -1,15 +1,17 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from lsast.errors import ConfigurationError, GatewayError, RecordIntegrityError, ScanError
-from lsast.gateway import MockGateway
+from lsast.gateway import MockGateway, PredictedFinding
 from lsast.index import IndexKind, OfflineEmbedder, VectorIndex
 from lsast.pipeline import (
     RetrievalMode,
     ScanContext,
     ScanFailure,
+    ScanResult,
     expand_targets,
     load_scan,
     load_scan_directory,
@@ -18,7 +20,7 @@ from lsast.pipeline import (
     run_scan,
     run_scan_batch,
 )
-from lsast.sast import parse_scanner_report
+from lsast.sast import Finding, parse_scanner_report
 
 MODES = list(RetrievalMode)
 
@@ -322,6 +324,15 @@ class TestPersistence:
         with pytest.raises(RecordIntegrityError):
             load_scan(path)
 
+    def test_non_object_result_rejected(self, tmp_path):
+        path = tmp_path / "scan-bad.json"
+        path.write_text(json.dumps({
+            "record_version": 1, "record_id": "0" * 12, "content_digest": "0" * 64,
+            "persisted_at": "2024-01-01T00:00:00+00:00", "result": [1],
+        }))
+        with pytest.raises(RecordIntegrityError):
+            load_scan(path)
+
     def test_unreadable_json_rejected(self, tmp_path):
         path = tmp_path / "scan-bad.json"
         path.write_text("{nope")
@@ -386,3 +397,45 @@ class TestDeterminism:
         essences_first = [record_essence(json.loads(p.read_text())) for p in first]
         essences_second = [record_essence(json.loads(p.read_text())) for p in second]
         assert essences_first == essences_second
+
+
+def pinned_result() -> ScanResult:
+    """A scan result with every record field set to a fixed value."""
+    return ScanResult(
+        target_path="src/app/handler.js",
+        mode=RetrievalMode.COMBINED_LSAST,
+        k=2,
+        scanner_findings=[
+            Finding(cwe_ids=["89"], rule_id="sqli", title="SQL injection",
+                    description="Unsanitized input reaches a query", file_path="app/handler.js",
+                    line_start=4, line_end=5, severity="high"),
+            Finding(cwe_ids=["79", "80"], rule_id="xss", title="Reflected XSS",
+                    description="", file_path="/home/ci/app/handler.js",
+                    line_start=9, line_end=9, severity=None),
+        ],
+        retrieved_report_ids={"functionality": [3, 1], "abstraction": [2]},
+        included_report_ids=[3, 2],
+        dropped_report_ids=[1],
+        predicted=[PredictedFinding(cwe_id="CWE-22", reason="Pfad wird ungeprüft übernommen",
+                                    line_start=12, line_end=14, code_snippet="fs.readFile(p)")],
+        none_found=False,
+        parse_degraded=True,
+        raw_response="CWE-ID: CWE-22 — Pfad … ungeprüft ✓\n",
+        prompt_digest="ab" * 32,
+        template_version="pinned-1",
+        timings={"scanner_s": 0.001, "model_s": 0.25, "total_s": 0.5},
+    )
+
+
+class TestRecordSchema:
+    # the content digest of every persisted record is this hash's input form;
+    # if it changes, records written by earlier versions no longer verify
+    PINNED_ESSENCE_SHA256 = "3166f38e9fd742eb3be116f7d58137fea03d30da1d47cb7a004fff8ca215f3d3"
+
+    def test_essence_pinned(self):
+        essence = record_essence(pinned_result().to_dict())
+        assert hashlib.sha256(essence.encode("utf-8")).hexdigest() == self.PINNED_ESSENCE_SHA256
+
+    def test_round_trip_every_field(self):
+        result = pinned_result()
+        assert ScanResult.from_dict(result.to_dict()) == result
