@@ -66,7 +66,8 @@ def make_embedder(config: Config):
     """Embedding backend per config; empty endpoint selects the offline one."""
     if not config.embed_endpoint:
         return OfflineEmbedder(dimension=config.embed_dimension)
-    return HttpEmbedder(config.embed_endpoint, config.embed_model, config.embed_dimension)
+    return HttpEmbedder(config.embed_endpoint, config.embed_model, config.embed_dimension,
+                        retries=config.retries)
 
 
 def _index_path(config: Config, kind: IndexKind) -> Path:
@@ -107,7 +108,8 @@ def cmd_ingest(args, config: Config) -> int:
                 raise ConfigurationError("--since and --until must be given together")
             window = (args.since, args.until)
         records = fetch_reports_remote(
-            config.fetch_endpoint, time_window=window, page_limit=args.page_limit
+            config.fetch_endpoint, time_window=window, page_limit=args.page_limit,
+            retries=config.retries,
         )
         summary = corpus.ingest_records(records)
         _print_warnings(summary.warnings)
@@ -283,6 +285,13 @@ def cmd_eval(args, config: Config) -> int:
     scans = load_scan_directory(records_dir)
     if not scans:
         raise EvaluationError(f"no scan records found in {records_dir}")
+    # a re-run scan persists a second record with the same content digest
+    unique = {}
+    for scan in scans:
+        unique.setdefault(scan.content_digest, scan)
+    if len(unique) < len(scans):
+        _print_warnings([f"{len(scans) - len(unique)} duplicate records counted once"])
+    scans = list(unique.values())
 
     if args.retrieval:
         corpus = ReportCorpus(config.corpus_dir)

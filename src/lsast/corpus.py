@@ -17,10 +17,8 @@ detectable via the recorded corpus digest.
 
 import hashlib
 import json
-import logging
 import os
 import re
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -29,10 +27,9 @@ import requests
 
 from .errors import CorpusError, ReportNotFoundError, RemoteFetchError
 from .index import abstract_code
-from .jsonio import canonical_json, read_jsonl, replacing
+from .jsonio import append_jsonl, canonical_json, read_jsonl, replacing
 from .sast import normalize_cwe
-
-logger = logging.getLogger(__name__)
+from .transport import send
 
 HACKTIVITY_TOKEN_ENV = "LSAST_HACKTIVITY_TOKEN"
 
@@ -223,7 +220,10 @@ class ReportCorpus:
 
     def __init__(self, directory):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CorpusError(f"cannot create corpus directory {self.directory}: {exc}") from None
         self._reports: dict[int, VulnerabilityReport] = {}
         self._sequences: dict[int, CodeSnippet] = {}
         self._catalog_corpus_digest: str | None = None
@@ -336,11 +336,15 @@ class ReportCorpus:
 
         Duplicate ids (within the input or against the stored corpus) keep
         the first occurrence and record a warning. Malformed records are
-        skipped with a reason; ingestion continues.
+        skipped with a reason; ingestion continues. The in-memory corpus
+        changes only once the append has succeeded.
+
+        Raises:
+            CorpusError: the store cannot be written.
         """
         warnings: list[str] = []
         skipped = 0
-        appended: list[VulnerabilityReport] = []
+        appended: dict[int, VulnerabilityReport] = {}
         for index, record in enumerate(records):
             if isinstance(record, dict) and "__malformed__" in record:
                 warnings.append(f"record {index}: not valid JSON, skipped")
@@ -353,15 +357,14 @@ class ReportCorpus:
                 skipped += 1
                 continue
             warnings.extend(report_warnings)
-            if report.id in self._reports:
+            if report.id in self._reports or report.id in appended:
                 warnings.append(f"record {index}: duplicate id {report.id}, first kept")
                 continue
-            self._reports[report.id] = report
-            appended.append(report)
+            appended[report.id] = report
         if appended:
-            with open(self._reports_path, "a", encoding="utf-8") as handle:
-                for report in appended:
-                    handle.write(canonical_json(report.to_record()) + "\n")
+            append_jsonl(self._reports_path, [r.to_record() for r in appended.values()],
+                         CorpusError)
+            self._reports.update(appended)
         return IngestSummary(count=len(self._reports), skipped=skipped, warnings=warnings)
 
     # -- access -----------------------------------------------------------
@@ -431,7 +434,7 @@ class ReportCorpus:
 
 def fetch_reports_remote(endpoint: str, time_window: tuple[str, str] | None = None,
                          page_limit: int = 10, per_page: int = 100,
-                         session=None, max_retries: int = 2) -> list[dict]:
+                         session=None, retries: int = 2) -> list[dict]:
     """Pull raw report records from a paginated disclosure endpoint.
 
     Optional plumbing: nothing else depends on it. The bearer token comes
@@ -439,7 +442,8 @@ def fetch_reports_remote(endpoint: str, time_window: tuple[str, str] | None = No
     Accepts both {"reports": [...]} and {"data": [...]} response shapes;
     stops at an empty page or after page_limit pages. When time_window
     (from-date, to-date, ISO "YYYY-MM-DD") is given, records carrying a
-    created_at/disclosed_at timestamp outside it are filtered out.
+    created_at/disclosed_at timestamp outside it are filtered out. Each page
+    request retries under the shared policy of `transport.send`.
 
     Raises:
         RemoteFetchError: transport failure after retries, non-success
@@ -447,61 +451,29 @@ def fetch_reports_remote(endpoint: str, time_window: tuple[str, str] | None = No
     """
     if page_limit <= 0:
         return []
-    http = session if session is not None else requests
+    session = session if session is not None else requests.Session()
     headers = {}
     token = os.environ.get(HACKTIVITY_TOKEN_ENV)
     if token:
         headers["Authorization"] = f"Bearer {token}"
 
     collected: list[dict] = []
-    attempts = 0
     for page in range(1, page_limit + 1):
         params = {"page": page, "per_page": per_page}
         if time_window is not None:
             params["from"], params["to"] = time_window
-        response = None
-        for attempt in range(max_retries + 1):
-            attempts += 1
-            if attempt:
-                time.sleep(min(0.5 * (2 ** (attempt - 1)), 4.0))
-            try:
-                response = http.get(endpoint, params=params, headers=headers, timeout=30)
-            except requests.RequestException as exc:
-                logger.debug("fetch page %d attempt %d failed: %s", page, attempt + 1, exc)
-                response = None
-                last_exc = exc
-                continue
-            if response.status_code == 429:
-                retry_after = response.headers.get("Retry-After", "1")
-                try:
-                    delay = min(float(retry_after), 30.0)
-                except ValueError:
-                    delay = 1.0
-                logger.info("rate limited on page %d, sleeping %.1fs", page, delay)
-                time.sleep(delay)
-                response = None
-                last_exc = RemoteFetchError("rate limited", attempts)
-                continue
-            break
-        if response is None:
-            raise RemoteFetchError(
-                f"page {page} unreachable after {max_retries + 1} attempts: {last_exc}",
-                attempts,
-            )
-        if response.status_code // 100 != 2:
-            raise RemoteFetchError(
-                f"page {page} returned status {response.status_code}", attempts
-            )
+        response = send(session, "get", endpoint, f"page {page}", RemoteFetchError, retries,
+                        params=params, headers=headers, timeout=30)
         try:
             data = response.json()
         except ValueError:
-            raise RemoteFetchError(f"page {page} returned a non-JSON body", attempts) from None
+            raise RemoteFetchError(f"page {page} returned a non-JSON body") from None
         if isinstance(data, dict):
             batch = data.get("reports", data.get("data", []))
         elif isinstance(data, list):
             batch = data
         else:
-            raise RemoteFetchError(f"page {page} returned an unexpected shape", attempts)
+            raise RemoteFetchError(f"page {page} returned an unexpected shape")
         if not isinstance(batch, list) or not batch:
             break
         collected.extend(r for r in batch if isinstance(r, dict))

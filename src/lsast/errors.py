@@ -83,12 +83,4 @@ class EvaluationError(LsastError):
 
 
 class RemoteFetchError(LsastError):
-    """The optional remote report fetch failed.
-
-    Attributes:
-        attempts: number of requests made before giving up.
-    """
-
-    def __init__(self, message, attempts=1):
-        super().__init__(message)
-        self.attempts = attempts
+    """The optional remote report fetch failed."""

@@ -14,11 +14,10 @@ flagged rather than left undefined, keeping table rendering total.
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 from .errors import EvaluationError
 from .gateway import PredictedFinding
-from .jsonio import canonical_json, read_jsonl
+from .jsonio import append_jsonl, read_jsonl
 from .sast import Finding, normalize_cwe
 
 logger = logging.getLogger(__name__)
@@ -427,14 +426,15 @@ def load_labels(path) -> list[EvalLabel]:
 
 
 def append_label(path, label: EvalLabel):
-    """Append one label to a JSONL labels file, creating it if missing."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Append one label to a JSONL labels file, creating it if missing.
+
+    Raises:
+        EvaluationError: the file or its directory cannot be written.
+    """
     record = {
         "record": label.record_id,
         "finding": label.finding_index,
         "verdict": label.verdict.value,
         "note": label.note,
     }
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(canonical_json(record) + "\n")
+    append_jsonl(path, [record], EvaluationError)

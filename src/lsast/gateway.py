@@ -10,18 +10,15 @@ time and is never logged or persisted.
 """
 
 import hashlib
-import logging
 import os
 import re
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import requests
 
 from .errors import GatewayError
 from .sast import normalize_cwe
-
-logger = logging.getLogger(__name__)
+from .transport import send
 
 API_KEY_ENV = "LSAST_API_KEY"
 
@@ -99,8 +96,8 @@ class ChatClient:
         endpoint: full URL of the chat-completions route.
         model: model name sent in every request.
         timeout: per-request timeout in seconds.
-        retries: retry attempts after the first request for transport or
-            timeout errors only; HTTP error statuses surface immediately.
+        retries: retry attempts after the first request, under the shared
+            policy of `transport.send`.
         temperature, max_tokens, seed: decoding defaults for complete().
     """
 
@@ -116,6 +113,7 @@ class ChatClient:
         self.seed = seed
         self.last_usage: dict | None = None
         self.total_tokens = 0
+        self.session = requests.Session()
 
     def complete(self, prompt: str) -> str:
         request = ChatRequest(
@@ -132,30 +130,9 @@ class ChatClient:
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        payload = request.to_payload()
-        last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                time.sleep(min(0.5 * (2 ** (attempt - 1)), 4.0))
-            try:
-                response = requests.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                logger.debug("chat attempt %d failed: %s", attempt + 1, exc)
-                last_error = exc
-                continue
-            if response.status_code // 100 != 2:
-                raise GatewayError(
-                    f"chat endpoint returned {response.status_code}: "
-                    f"{response.text[:200]}"
-                )
-            return self._extract(response)
-        raise GatewayError(
-            f"chat endpoint unreachable after {self.retries + 1} attempts: {last_error}"
-        )
-
-    def _extract(self, response) -> str:
+        response = send(self.session, "post", self.endpoint, "chat endpoint", GatewayError,
+                        self.retries, json=request.to_payload(), headers=headers,
+                        timeout=self.timeout)
         try:
             data = response.json()
             content = data["choices"][0]["message"]["content"]

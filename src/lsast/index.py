@@ -19,12 +19,16 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
+import requests
 
 from .errors import (
     ConfigurationError,
+    CorpusError,
     DerivationError,
     EmbedderMismatchError,
+    GatewayError,
     IndexIntegrityError,
+    LsastError,
     SearchError,
 )
 from .jsonio import canonical_json, read_jsonl, replacing
@@ -34,6 +38,7 @@ from .prompts import (
     parse_code_pattern,
     render_derivation_prompt,
 )
+from .transport import send
 
 logger = logging.getLogger(__name__)
 
@@ -136,39 +141,30 @@ class HttpEmbedder:
     Sends {"model": ..., "input": ...}; accepts {"vector": [...]} or the
     {"data": [{"embedding": [...]}]} shape. Vectors are unit-normalized
     client-side so the contract holds regardless of backend behavior.
+    Requests retry under the shared policy of `transport.send`.
     """
 
-    def __init__(self, endpoint: str, model: str, dimension: int, timeout: float = 60.0):
+    def __init__(self, endpoint: str, model: str, dimension: int, timeout: float = 60.0,
+                 retries: int = 2):
         if dimension < 1:
             raise ConfigurationError("embedder dimension must be >= 1")
         self.endpoint = endpoint
         self.model = model
         self.dimension = dimension
         self.timeout = timeout
+        self.retries = retries
+        self.session = requests.Session()
 
     @property
     def identity(self) -> str:
         return f"http-{self.model}-d{self.dimension}"
 
     def embed(self, text: str) -> np.ndarray:
-        import requests
-
-        from .errors import GatewayError
-
         if not text:
             raise ValueError("cannot embed empty text")
-        try:
-            response = requests.post(
-                self.endpoint,
-                json={"model": self.model, "input": text},
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise GatewayError(f"embedding endpoint unreachable: {exc}") from None
-        if response.status_code // 100 != 2:
-            raise GatewayError(
-                f"embedding endpoint returned {response.status_code}: {response.text[:200]}"
-            )
+        response = send(self.session, "post", self.endpoint, "embedding endpoint",
+                        GatewayError, self.retries,
+                        json={"model": self.model, "input": text}, timeout=self.timeout)
         try:
             data = response.json()
             if "vector" in data:
@@ -264,8 +260,6 @@ class VectorIndex:
         Raises:
             CorpusError: the snippet catalog is stale for this corpus.
         """
-        from .errors import CorpusError, LsastError
-
         corpus_digest = corpus.digest()
         catalog_digest = corpus.catalog_corpus_digest
         if catalog_digest is not None and catalog_digest != corpus_digest:

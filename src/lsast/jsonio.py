@@ -1,9 +1,11 @@
-"""The one on-disk format path: canonical JSON, atomic replace, JSONL reads.
+"""The one on-disk format path: canonical JSON, atomic replace, JSONL I/O.
 
 Every file lsast writes whole (snippet catalog, vector indexes, scan
 records) goes through `replacing`, so an interrupted write leaves the
-previous file intact and no partial file behind. Every JSONL file it reads
-goes through `read_jsonl`, so a bad line is reported as `path:line`.
+previous file intact and no partial file behind. Every append-only JSONL
+file (the report store, labels) grows through `append_jsonl`. Every JSONL
+file it reads goes through `read_jsonl`, so a bad line is reported as
+`path:line`.
 """
 
 import json
@@ -35,6 +37,22 @@ def replacing(path, error):
             tmp.replace(path)
         finally:
             tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise error(f"cannot write {path}: {exc}") from None
+
+
+def append_jsonl(path, records, error):
+    """Append one canonical JSON line per record, creating the parent directory.
+
+    Raises:
+        error: the directory or the file cannot be written.
+    """
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "a", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(canonical_json(record) + "\n")
     except OSError as exc:
         raise error(f"cannot write {path}: {exc}") from None
 

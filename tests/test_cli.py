@@ -158,6 +158,14 @@ class TestExitCodes:
         assert "error: cannot write" in err
         assert "functionality.jsonl" in err
 
+    def test_corpus_dir_under_a_file_fails_cleanly(self, workspace, tmp_path, capsys):
+        (tmp_path / "afile").write_text("not a directory\n")
+        config = json.loads(Path(workspace["config"]).read_text())
+        config["corpus_dir"] = str(tmp_path / "afile" / "corpus")
+        Path(workspace["config"]).write_text(json.dumps(config))
+        assert run(workspace, "index") == 1
+        assert "error: cannot create corpus directory" in capsys.readouterr().err
+
     def test_scan_failure_exits_one(self, workspace, capsys):
         run(workspace, "ingest", "--reports", workspace["reports"])
         run(workspace, "index")
@@ -204,6 +212,14 @@ class TestLabelValidation:
                    "--finding", "2") == 1
         assert "-1" in capsys.readouterr().err
 
+    def test_labels_file_under_a_file_fails_cleanly(self, workspace, tmp_path, capsys):
+        record_id = self._scanned(workspace, capsys)
+        (tmp_path / "afile").write_text("not a directory\n")
+        labels = tmp_path / "afile" / "labels.jsonl"
+        assert run(workspace, "label", "--labels", str(labels),
+                   "--record", record_id, "--verdict", "fn") == 1
+        assert f"error: cannot write {labels}" in capsys.readouterr().err
+
     def test_list_with_no_file_is_fine(self, workspace, capsys):
         assert run(workspace, "label", "--labels", workspace["labels"],
                    "--list") == 0
@@ -239,6 +255,28 @@ class TestEvalRegimes:
         assert run(workspace, "eval", "--truth", "labels",
                    "--labels", str(labels)) == 1
         assert "out of range" in capsys.readouterr().err
+
+
+    def test_rerun_records_counted_once(self, workspace, capsys, tmp_path):
+        target = tmp_path / "t.js"
+        target.write_text("var a = req.query.a;\nres.send(a);\ndb.query(a);\n")
+        sast = tmp_path / "t-sast.json"
+        sast.write_text(json.dumps([
+            {"cwe_ids": ["79"], "id": "xss", "title": "xss", "full_filename": "t.js",
+             "source": {"start": 2, "end": 2}},
+            {"cwe_ids": ["89"], "id": "sqli", "title": "sqli", "full_filename": "t.js",
+             "source": {"start": 3, "end": 3}},
+        ]))
+        for _ in range(2):
+            assert run(workspace, "scan", str(target), "--mode", "raw_lsast",
+                       "--sast-json", str(sast), "--out", str(workspace["scan_dir"])) == 0
+        assert len(list(workspace["scan_dir"].glob("scan-*.json"))) == 2
+        capsys.readouterr()
+        for regime in ([], ["--retrieval"]):
+            assert run(workspace, "eval", *regime, "--format", "json") == 0
+            captured = capsys.readouterr()
+            assert json.loads(captured.out)["columns"][0]["counts"]["fn"] == 2
+            assert "1 duplicate records counted once" in captured.err
 
 
 class TestIngestFetch:

@@ -181,6 +181,14 @@ class TestReportCorpus:
             ReportCorpus(tmp_path / "c")
         assert "4" in str(exc.value)
 
+    def test_ingest_into_replaced_directory_raises(self, tmp_path, report_dicts):
+        corpus = ReportCorpus(tmp_path / "c")
+        (tmp_path / "c").rmdir()
+        (tmp_path / "c").write_text("not a directory\n")
+        with pytest.raises(CorpusError, match="cannot write"):
+            corpus.ingest_records(report_dicts)
+        assert len(corpus) == 0
+
     def test_unknown_report_id(self, corpus):
         with pytest.raises(ReportNotFoundError):
             corpus.get_report(99)
@@ -304,6 +312,16 @@ class TestFetchRemote:
         ])
         records = fetch_reports_remote("https://example.test/api", session=session)
         assert records == [{"id": 1}]
+
+    def test_rate_limit_every_try_raises_without_extra_backoff(self, monkeypatch):
+        monkeypatch.delenv("LSAST_HACKTIVITY_TOKEN", raising=False)
+        sleeps = []
+        monkeypatch.setattr("time.sleep", sleeps.append)
+        session = FakeSession([FakeResponse(status_code=429, headers={"Retry-After": "0"})] * 3)
+        with pytest.raises(RemoteFetchError, match="after 3 attempts"):
+            fetch_reports_remote("https://example.test/api", session=session, retries=2)
+        assert len(session.requests) == 3
+        assert sleeps == [0.0, 0.0]  # Retry-After only, no backoff on top
 
     def test_server_error_raises(self, monkeypatch):
         monkeypatch.delenv("LSAST_HACKTIVITY_TOKEN", raising=False)

@@ -4,9 +4,11 @@ import string
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
+import requests
 
-from lsast.errors import GatewayError
+from lsast.errors import ConfigurationError, GatewayError
 from lsast.gateway import (
     ChatClient,
     ChatRequest,
@@ -15,7 +17,9 @@ from lsast.gateway import (
     parse_scan_response,
     render_finding,
 )
+from lsast.index import HttpEmbedder
 from lsast.prompts import ABSTRACTION_PROMPT, render_derivation_prompt
+from lsast.transport import send
 
 
 class _ChatHandler(BaseHTTPRequestHandler):
@@ -28,10 +32,13 @@ class _ChatHandler(BaseHTTPRequestHandler):
             server.drop_next = False
             self.connection.close()
             return
-        status, payload = server.responses[min(len(server.requests) - 1,
-                                               len(server.responses) - 1)]
+        # a scripted response is (status, payload) or (status, payload, headers)
+        status, payload, *headers = server.responses[min(len(server.requests) - 1,
+                                                         len(server.responses) - 1)]
         data = json.dumps(payload).encode()
         self.send_response(status)
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -130,6 +137,84 @@ class TestChatClient:
         client.complete("a")
         client.complete("b")
         assert client.total_tokens == 84
+
+
+class TestHttpEmbedder:
+    def test_both_response_shapes_unit_normalised(self, chat_server):
+        chat_server.responses = [(200, {"vector": [3, 4]}),
+                                 (200, {"data": [{"embedding": [0, -2]}]})]
+        embedder = HttpEmbedder(_endpoint(chat_server), "e", 2)
+        assert np.allclose(embedder.embed("a"), [0.6, 0.8])
+        assert np.allclose(embedder.embed("b"), [0.0, -1.0])
+        assert chat_server.requests[0]["body"] == {"model": "e", "input": "a"}
+
+    def test_wrong_dimension_is_configuration_error(self, chat_server):
+        chat_server.responses = [(200, {"vector": [1, 2, 3]})]
+        with pytest.raises(ConfigurationError):
+            HttpEmbedder(_endpoint(chat_server), "e", 2).embed("a")
+
+    def test_zero_vector_is_gateway_error(self, chat_server):
+        chat_server.responses = [(200, {"vector": [0, 0]})]
+        with pytest.raises(GatewayError, match="zero vector"):
+            HttpEmbedder(_endpoint(chat_server), "e", 2).embed("a")
+
+    def test_transport_failure_retries_then_succeeds(self, chat_server):
+        chat_server.drop_next = True
+        chat_server.responses = [(200, {"vector": [1, 0]})]
+        embedder = HttpEmbedder(_endpoint(chat_server), "e", 2, retries=1)
+        assert np.allclose(embedder.embed("a"), [1.0, 0.0])
+        assert len(chat_server.requests) == 2
+
+
+_RATE_LIMITED = (429, {"error": "slow down"}, {"Retry-After": "0"})
+
+
+class TestRetryPolicy:
+    def test_chat_rate_limit_then_success(self, chat_server, monkeypatch):
+        monkeypatch.delenv("LSAST_API_KEY", raising=False)
+        chat_server.responses = [_RATE_LIMITED, (200, _ok_payload("hello"))]
+        client = ChatClient(_endpoint(chat_server), "m", retries=1)
+        assert client.complete("x") == "hello"
+        assert len(chat_server.requests) == 2
+
+    def test_embedding_rate_limit_then_success(self, chat_server):
+        chat_server.responses = [_RATE_LIMITED, (200, {"vector": [0, 5]})]
+        embedder = HttpEmbedder(_endpoint(chat_server), "e", 2, retries=1)
+        assert np.allclose(embedder.embed("a"), [0.0, 1.0])
+        assert len(chat_server.requests) == 2
+
+    def test_rate_limit_every_try_exhausts_retries(self, chat_server, monkeypatch):
+        monkeypatch.delenv("LSAST_API_KEY", raising=False)
+        chat_server.responses = [_RATE_LIMITED]
+        client = ChatClient(_endpoint(chat_server), "m", retries=2)
+        with pytest.raises(GatewayError, match="after 3 attempts: rate limited"):
+            client.complete("x")
+        assert len(chat_server.requests) == 3
+
+    def test_waits(self, monkeypatch):
+        class Response:
+            def __init__(self, status, retry_after=None):
+                self.status_code = status
+                self.headers = {} if retry_after is None else {"Retry-After": retry_after}
+                self.text = ""
+
+        script = [requests.ConnectionError("down"), requests.Timeout("slow"),
+                  Response(429, "soon"), Response(429, "120"), Response(429),
+                  requests.ConnectionError("down"), Response(200)]
+
+        def get(url, **kwargs):
+            item = script.pop(0)
+            if isinstance(item, Exception):
+                raise item
+            return item
+
+        sleeps = []
+        monkeypatch.setattr("time.sleep", sleeps.append)
+        session = type("Session", (), {"get": staticmethod(get)})
+        assert send(session, "get", "u", "thing", GatewayError, 6).status_code == 200
+        # backoff doubles from 0.5 s and caps at 4 s; a 429 waits its
+        # Retry-After (1 s when unusable or absent, capped at 30 s)
+        assert sleeps == [0.5, 1.0, 1.0, 30.0, 1.0, 4.0]
 
 
 class TestChatRequest:
