@@ -88,6 +88,7 @@ from .pipeline import (
 from .prompts import BuiltPrompt, build_scan_prompt, format_bearer_result
 from .sast import (
     Finding,
+    FindingIndex,
     ParsedReport,
     filter_findings_for_file,
     format_findings,

@@ -42,7 +42,12 @@ from .pipeline import (
     persist_scan,
     run_scan_batch,
 )
-from .sast import filter_findings_for_file, parse_scanner_report, run_external_scanner
+from .sast import (
+    FindingIndex,
+    filter_findings_for_file,
+    parse_scanner_report,
+    run_external_scanner,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -79,6 +84,15 @@ def _mode_argument(text: str) -> RetrievalMode:
         return RetrievalMode.parse(text)
     except ConfigurationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _existing_corpus(config: Config) -> ReportCorpus:
+    """Open the corpus for a command that only reads it; never creates it."""
+    if not Path(config.corpus_dir).is_dir():
+        raise ConfigurationError(
+            f"corpus directory {config.corpus_dir} does not exist; run ingest first"
+        )
+    return ReportCorpus(config.corpus_dir)
 
 
 def _print_warnings(warnings):
@@ -212,7 +226,7 @@ def cmd_scan(args, config: Config) -> int:
     abstraction_index = None
     embedder = None
     if mode.uses_functionality or mode.uses_abstraction:
-        corpus = ReportCorpus(config.corpus_dir)
+        corpus = _existing_corpus(config)
         embedder = make_embedder(config)
         if mode.uses_functionality:
             functionality_index = VectorIndex.load(_index_path(config, IndexKind.FUNCTIONALITY))
@@ -264,12 +278,12 @@ def _group_scans_by_mode(scans) -> list[tuple[str, list]]:
     return [(name, groups[name]) for name in MODE_NAMES if name in groups]
 
 
-def _matching_counts(scans, truth_items, line_tolerance: int) -> ConfusionCounts:
+def _matching_counts(scans, truth_index, line_tolerance: int) -> ConfusionCounts:
     counts = ConfusionCounts()
     for scan in scans:
         result = scan.result
-        if truth_items is not None:
-            truth = filter_findings_for_file(truth_items, result.target_path)
+        if truth_index is not None:
+            truth = filter_findings_for_file(truth_index, result.target_path)
         else:
             truth = truth_from_findings(result.scanner_findings)
         matching = match_findings(result.predicted, truth, line_tolerance)
@@ -294,7 +308,9 @@ def cmd_eval(args, config: Config) -> int:
     scans = list(unique.values())
 
     if args.retrieval:
-        corpus = ReportCorpus(config.corpus_dir)
+        # records that retrieved nothing (non-retrieval modes) need no corpus
+        retrieved = any(ids for scan in scans for ids in scan.result.retrieved_report_ids.values())
+        corpus = _existing_corpus(config) if retrieved else None
         rows = []
         all_warnings = []
         for name, group in _group_scans_by_mode(scans):
@@ -318,10 +334,10 @@ def cmd_eval(args, config: Config) -> int:
             )
             rows.append((name, compute_metrics(counts), counts))
     else:
-        truth_items = load_ground_truth(args.truth_file) if args.truth_file else None
+        truth_index = FindingIndex(load_ground_truth(args.truth_file)) if args.truth_file else None
         rows = []
         for name, group in _group_scans_by_mode(scans):
-            counts = _matching_counts(group, truth_items, args.line_tolerance)
+            counts = _matching_counts(group, truth_index, args.line_tolerance)
             rows.append((name, compute_metrics(counts), counts))
 
     if args.format == "json":

@@ -227,6 +227,7 @@ class ReportCorpus:
         self._reports: dict[int, VulnerabilityReport] = {}
         self._sequences: dict[int, CodeSnippet] = {}
         self._catalog_corpus_digest: str | None = None
+        self._digest: str | None = None  # memo of digest(); ingest_records clears it
         self._load()
 
     # -- persistence ------------------------------------------------------
@@ -275,12 +276,19 @@ class ReportCorpus:
                 ) from None
 
     def digest(self) -> str:
-        """Content digest over the canonical form of every stored report."""
-        hasher = hashlib.sha256()
-        for report in self._reports.values():
-            hasher.update(canonical_json(report.to_record()).encode("utf-8"))
-            hasher.update(b"\n")
-        return hasher.hexdigest()
+        """Content digest over the canonical form of every stored report.
+
+        Computed once per corpus state: every scan checks its indexes against
+        it, and hashing the whole corpus per scan would make scan cost grow
+        with the corpus.
+        """
+        if self._digest is None:
+            hasher = hashlib.sha256()
+            for report in self._reports.values():
+                hasher.update(canonical_json(report.to_record()).encode("utf-8"))
+                hasher.update(b"\n")
+            self._digest = hasher.hexdigest()
+        return self._digest
 
     # -- ingestion --------------------------------------------------------
 
@@ -365,6 +373,7 @@ class ReportCorpus:
             append_jsonl(self._reports_path, [r.to_record() for r in appended.values()],
                          CorpusError)
             self._reports.update(appended)
+            self._digest = None
         return IngestSummary(count=len(self._reports), skipped=skipped, warnings=warnings)
 
     # -- access -----------------------------------------------------------

@@ -282,7 +282,9 @@ def evaluate_retrieval(results, corpus) -> tuple[MetricsReport, ConfusionCounts,
     Each retrieved report counts as tp when its cwe-id appears among the
     scanner's CWEs for that file, else fp; scanner CWEs never covered by any
     retrieved report count as fn. Reports without a cwe-id are skipped with
-    a warning. Truth is each result's attached scanner findings.
+    a warning. Truth is each result's attached scanner findings. `corpus` is
+    read only for retrieved reports, so it may be None when no result
+    retrieved any.
 
     Returns (metrics, counts, warnings).
     """

@@ -12,6 +12,7 @@ time and is never logged or persisted.
 import hashlib
 import os
 import re
+import threading
 from dataclasses import dataclass
 
 import requests
@@ -154,16 +155,21 @@ class MockGateway:
 
     Derivation prompts get a stable pseudo-derivation (identifier-collapsed
     pattern, hash-tagged summary); scan prompts get `scan_response` when set,
-    otherwise the appropriate none-found sentence. A stand-in for wiring and
-    determinism tests, not a simulation of any model.
+    otherwise the appropriate none-found sentence. It counts its calls and
+    keeps only the last prompt, so a long run holds no prompt history. A
+    stand-in for wiring and determinism tests, not a simulation of any model.
     """
 
     def __init__(self, scan_response: str | None = None):
         self.scan_response = scan_response
-        self.calls: list[str] = []
+        self.call_count = 0
+        self.last_prompt: str | None = None
+        self._lock = threading.Lock()
 
     def complete(self, prompt: str) -> str:
-        self.calls.append(prompt)
+        with self._lock:
+            self.call_count += 1
+            self.last_prompt = prompt
         if "You are a very efficient vulnerability scanner." in prompt:
             if self.scan_response is not None:
                 return self.scan_response

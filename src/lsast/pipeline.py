@@ -40,7 +40,7 @@ from .gateway import PredictedFinding, parse_scan_response
 from .index import DEFAULT_K, DerivationCache, correlate
 from .jsonio import canonical_json, replacing
 from .prompts import DEFAULT_PROMPT_CHAR_BUDGET, TEMPLATE_VERSION, build_scan_prompt
-from .sast import Finding, filter_findings_for_file, format_findings
+from .sast import Finding, FindingIndex, filter_findings_for_file, format_findings
 
 logger = logging.getLogger(__name__)
 
@@ -97,9 +97,13 @@ class ScanContext:
 
     scanner is a callable (target path) -> list[Finding]; the pipeline
     filters its output down to the target file either way, so a canned
-    full-repository report works unchanged. attach_scanner_findings records
-    scanner findings on results of non-scanner modes (for later evaluation)
-    without ever feeding them to the prompt.
+    full-repository report works unchanged. The scanner must not mutate a
+    list after returning it: the context indexes the last list it saw once
+    and reuses that index while the scanner keeps returning the same list
+    object, so a canned report costs one path parse per finding per
+    context, not per target. attach_scanner_findings records scanner
+    findings on results of non-scanner modes (for later evaluation) without
+    ever feeding them to the prompt.
     """
 
     gateway: object = None
@@ -112,6 +116,9 @@ class ScanContext:
     line_budget: int = DEFAULT_LINE_BUDGET
     char_budget: int = DEFAULT_PROMPT_CHAR_BUDGET
     cache: DerivationCache = field(default_factory=DerivationCache)
+    # (scanner list, its FindingIndex); replaced as one tuple, so a reader
+    # never pairs a list with another list's index
+    _findings_index: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -207,7 +214,11 @@ def _merge_retrievals(func_pairs, abs_pairs) -> list:
 
 def _scanner_findings_for(context: ScanContext, target: Path) -> list[Finding]:
     findings = context.scanner(target)
-    return filter_findings_for_file(findings, target)
+    indexed, index = context._findings_index
+    if indexed is not findings:
+        index = FindingIndex(findings)
+        context._findings_index = (findings, index)
+    return filter_findings_for_file(index, target)
 
 
 def run_scan(target, mode: RetrievalMode, k: int = DEFAULT_K,

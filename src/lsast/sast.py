@@ -234,28 +234,58 @@ def parse_formatted_finding(text: str) -> tuple[str, int, int]:
 def _path_parts(path: str) -> tuple[str, ...]:
     # Scanner reports may carry absolute paths from another machine; compare
     # by path components so "/Users/x/repos/app/core/a.js" matches "core/a.js".
-    if "\\" in path:
-        return PureWindowsPath(path).parts
-    return PurePosixPath(path).parts
+    parts = PureWindowsPath(path).parts if "\\" in path else PurePosixPath(path).parts
+    return tuple(part for part in parts if part not in ("/", "\\"))
 
 
-def filter_findings_for_file(findings: list[Finding], target_path) -> list[Finding]:
-    """Keep findings whose file path refers to `target_path`.
+class FindingIndex:
+    """Findings bucketed by the last component of their file path.
 
-    Matches when one path's component sequence is a suffix of the other's,
-    which tolerates differing roots between scanner host and local checkout.
+    Each finding's path is parsed once, here; `for_file` then examines only
+    the bucket whose key is the target's last component, the one place a
+    suffix match can come from. Order within a bucket is list order. Built
+    over a snapshot: findings appended to the source list later are not seen.
     """
-    target_parts = _path_parts(str(target_path))
-    target_parts = tuple(part for part in target_parts if part not in ("/", "\\"))
-    kept = []
-    for finding in findings:
-        parts = tuple(p for p in _path_parts(finding.file_path) if p not in ("/", "\\"))
-        if not parts or not target_parts:
-            continue
-        shorter, longer = sorted((parts, target_parts), key=len)
-        if longer[-len(shorter):] == shorter:
-            kept.append(finding)
-    return kept
+
+    def __init__(self, findings):
+        self._count = 0
+        self._buckets: dict[str, list[tuple[tuple[str, ...], object]]] = {}
+        for finding in findings:
+            self._count += 1
+            parts = _path_parts(finding.file_path)
+            if parts:
+                self._buckets.setdefault(parts[-1], []).append((parts, finding))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def for_file(self, target_path) -> list:
+        """Findings whose file path refers to `target_path`, in list order.
+
+        Matches when one path's component sequence is a suffix of the other's,
+        which tolerates differing roots between scanner host and local checkout.
+        """
+        target_parts = _path_parts(str(target_path))
+        if not target_parts:
+            return []
+        kept = []
+        for parts, finding in self._buckets.get(target_parts[-1], ()):
+            shorter, longer = sorted((parts, target_parts), key=len)
+            if longer[-len(shorter):] == shorter:
+                kept.append(finding)
+        return kept
+
+
+def filter_findings_for_file(findings, target_path) -> list:
+    """Keep findings whose file path refers to `target_path`; see FindingIndex.
+
+    `findings` is a list of objects with a `file_path`, or a FindingIndex
+    built over one. Indexing a list costs one path parse per finding, so a
+    caller that matches one list against many targets builds the index once.
+    """
+    if not isinstance(findings, FindingIndex):
+        findings = FindingIndex(findings)
+    return findings.for_file(target_path)
 
 
 def run_external_scanner(command: str, target_path,

@@ -351,7 +351,7 @@ def test_criterion_5_mode_algebra(corpus, indexes, embedder, js_target,
             scanner=lambda target: findings,
         )
         run_scan(js_target, mode, k=3, context=context)
-        prompt = gateway.calls[-1]
+        prompt = gateway.last_prompt
 
         assert (SCANNER_SECTION_MARK in prompt) == mode.uses_scanner, mode
         checked += 1

@@ -279,6 +279,72 @@ class TestEvalRegimes:
             assert "1 duplicate records counted once" in captured.err
 
 
+    def test_truth_file_paths_parsed_once_per_eval(self, workspace, capsys, tmp_path,
+                                                    monkeypatch):
+        import lsast.sast as sast
+
+        other = tmp_path / "other.js"
+        other.write_text("var b = req.query.b;\n")
+        for target in (workspace["target"], str(other)):
+            assert run(workspace, "scan", target, "--mode", "raw",
+                       "--out", str(workspace["scan_dir"])) == 0
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text("".join(json.dumps(item) + "\n" for item in (
+            {"file": "/ci/app/handler.js", "cwe": "89", "line_start": 4},
+            {"file": "handler.js", "cwe": "79", "line_start": 5},
+            {"file": "other.js", "cwe": "22", "line_start": 1},
+            {"file": "app/unscanned.js", "cwe": "78", "line_start": 1},
+        )))
+        capsys.readouterr()
+        parsed = []
+        original = sast._path_parts
+        monkeypatch.setattr(sast, "_path_parts", lambda path: parsed.append(path) or original(path))
+        assert run(workspace, "eval", "--truth-file", str(truth), "--format", "json") == 0
+        # /ci/app/handler.js shares only a basename with the scanned handler.js
+        assert json.loads(capsys.readouterr().out)["columns"][0]["counts"]["fn"] == 2
+        # one parse per truth item, then one per record
+        assert len(parsed) == 4 + 2
+
+
+class TestReadOnlyCorpus:
+    """scan and eval read the corpus; only ingest and index create it."""
+
+    def _without_corpus(self, workspace, tmp_path):
+        missing = tmp_path / "no-corpus"
+        config = json.loads(Path(workspace["config"]).read_text())
+        config["corpus_dir"] = str(missing)
+        Path(workspace["config"]).write_text(json.dumps(config))
+        return missing
+
+    def test_eval_retrieval_leaves_no_corpus_directory(self, workspace, capsys, tmp_path):
+        missing = self._without_corpus(workspace, tmp_path)
+        assert run(workspace, "scan", workspace["target"], "--mode", "raw_lsast",
+                   "--sast-json", workspace["sast"], "--out", str(workspace["scan_dir"])) == 0
+        capsys.readouterr()
+        assert run(workspace, "eval", "--retrieval", "--format", "json") == 0
+        assert json.loads(capsys.readouterr().out)["columns"][0]["counts"]["fn"] == 1
+        assert not missing.exists()
+
+    def test_eval_retrieval_needs_the_corpus_it_retrieved_from(self, workspace, capsys,
+                                                               tmp_path):
+        assert run(workspace, "ingest", "--reports", workspace["reports"]) == 0
+        assert run(workspace, "index") == 0
+        assert run(workspace, "scan", workspace["target"], "--mode", "combined",
+                   "--out", str(workspace["scan_dir"])) == 0
+        missing = self._without_corpus(workspace, tmp_path)
+        capsys.readouterr()
+        assert run(workspace, "eval", "--retrieval") == 1
+        err = capsys.readouterr().err
+        assert f"corpus directory {missing} does not exist" in err
+        assert not missing.exists()
+
+    def test_retrieval_scan_without_corpus_fails_cleanly(self, workspace, capsys, tmp_path):
+        missing = self._without_corpus(workspace, tmp_path)
+        assert run(workspace, "scan", workspace["target"], "--mode", "functionality") == 1
+        assert f"error: corpus directory {missing} does not exist" in capsys.readouterr().err
+        assert not missing.exists()
+
+
 class TestIngestFetch:
     def test_fetched_records_ingested_without_staging(self, workspace, tmp_path,
                                                       report_dicts, monkeypatch,

@@ -402,4 +402,5 @@ class TestMockGateway:
         gateway = MockGateway()
         gateway.complete("anything")
         gateway.complete("else")
-        assert gateway.calls == ["anything", "else"]
+        assert gateway.call_count == 2
+        assert gateway.last_prompt == "else"

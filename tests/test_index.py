@@ -162,14 +162,14 @@ class TestDerivations:
         first = cache.derive(IndexKind.ABSTRACTION, "var x = 1", gateway)
         second = cache.derive(IndexKind.ABSTRACTION, "var x = 1", gateway)
         assert first == second
-        assert len(gateway.calls) == 1
+        assert gateway.call_count == 1
 
     def test_cache_distinguishes_kinds(self):
         gateway = MockGateway()
         cache = DerivationCache()
         cache.derive(IndexKind.ABSTRACTION, "var x = 1", gateway)
         cache.derive(IndexKind.FUNCTIONALITY, "var x = 1", gateway)
-        assert len(gateway.calls) == 2
+        assert gateway.call_count == 2
 
 
 class TestBuildAndPersist:

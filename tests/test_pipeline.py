@@ -121,11 +121,11 @@ class TestRunScan:
         assert result.none_found is True
         assert result.scanner_findings == []
         assert result.retrieved_report_ids == {"functionality": [], "abstraction": []}
-        assert "SAST" not in context.gateway.calls[-1]
+        assert "SAST" not in context.gateway.last_prompt
 
     def test_lsast_mode_embeds_scanner_findings(self, js_target, context):
         result = run_scan(js_target, RetrievalMode.RAW_LSAST, context=context)
-        prompt = context.gateway.calls[-1]
+        prompt = context.gateway.last_prompt
         assert "After scanning the code with a SAST Scanner" in prompt
         assert "'CWE-943 (line 4-5)'" in prompt
         assert len(result.scanner_findings) == 1
@@ -135,7 +135,7 @@ class TestRunScan:
         context.attach_scanner_findings = True
         result = run_scan(js_target, RetrievalMode.FUNCTIONALITY, context=context)
         assert len(result.scanner_findings) == 1
-        assert "SAST" not in context.gateway.calls[-1]
+        assert "SAST" not in context.gateway.last_prompt
 
     def test_scanner_findings_filtered_to_target(self, tmp_path, context):
         other = tmp_path / "unrelated.js"
@@ -165,7 +165,7 @@ class TestRunScan:
 
     def test_retrieved_reports_enter_prompt(self, js_target, context):
         run_scan(js_target, RetrievalMode.FUNCTIONALITY, k=3, context=context)
-        prompt = context.gateway.calls[-1]
+        prompt = context.gateway.last_prompt
         assert "Relevant vulnerability reports:" in prompt
         assert "title: " in prompt
 
@@ -439,3 +439,94 @@ class TestRecordSchema:
     def test_round_trip_every_field(self):
         result = pinned_result()
         assert ScanResult.from_dict(result.to_dict()) == result
+
+
+def finding_in(path, line=1):
+    return Finding(cwe_ids=["79"], rule_id="r", title="", description="",
+                   file_path=path, line_start=line, line_end=line)
+
+
+class TestHotPath:
+    """Work that scales with the report or the corpus is done once, not per scan."""
+
+    def _targets(self, tmp_path, count):
+        targets = []
+        for n in range(count):
+            target = tmp_path / "repo" / f"f{n}.js"
+            target.parent.mkdir(exist_ok=True)
+            target.write_text(f"var a{n} = req.query.a;\n", encoding="utf-8")
+            targets.append(target)
+        return targets
+
+    def test_canned_report_paths_parsed_once_per_context(self, tmp_path, monkeypatch):
+        import lsast.sast as sast
+
+        targets = self._targets(tmp_path, 6)
+        findings = [finding_in(f"repo/f{n % 6}.js", line=n + 1) for n in range(60)]
+        context = ScanContext(gateway=MockGateway(), scanner=lambda target: findings)
+        parsed = []
+        original = sast._path_parts
+        monkeypatch.setattr(sast, "_path_parts", lambda path: parsed.append(path) or original(path))
+        for target in targets:
+            result = run_scan(target, RetrievalMode.RAW_LSAST, context=context)
+            assert [f.line_start for f in result.scanner_findings] == [
+                f.line_start for f in findings if f.file_path.endswith(target.name)
+            ]
+        # one parse per finding, then one per target
+        assert len(parsed) == len(findings) + len(targets)
+
+    def test_corpus_digest_computed_once_per_corpus_state(self, js_target, context, tmp_path,
+                                                          report_dicts, monkeypatch):
+        from lsast.corpus import ReportCorpus, VulnerabilityReport
+
+        context.corpus = ReportCorpus(context.corpus.directory)  # no memo yet
+        records = []
+        original = VulnerabilityReport.to_record
+        monkeypatch.setattr(VulnerabilityReport, "to_record",
+                            lambda self: records.append(self.id) or original(self))
+        for _ in range(5):
+            run_scan(js_target, RetrievalMode.COMBINED, context=context)
+        assert len(records) == len(context.corpus)
+
+        source = tmp_path / "extra.json"
+        source.write_text(json.dumps([dict(report_dicts[0], id=60, title="added later")]))
+        context.corpus.ingest_reports(source)
+        records.clear()
+        for _ in range(3):
+            with pytest.raises(ConfigurationError):
+                run_scan(js_target, RetrievalMode.COMBINED, context=context)
+        assert len(records) == len(context.corpus)
+        assert context.corpus.digest() == ReportCorpus(context.corpus.directory).digest()
+
+    def test_fresh_list_per_target_gets_its_own_findings(self, tmp_path):
+        targets = self._targets(tmp_path, 8)
+        # each call builds a new list that only names the file being scanned,
+        # so an index reused from an earlier list would find nothing
+        context = ScanContext(gateway=MockGateway(),
+                              scanner=lambda target: [finding_in(f"repo/{target.name}", line=7)])
+        results = run_scan_batch(targets, RetrievalMode.RAW_LSAST, context=context)
+        for target, result in zip(targets, results):
+            assert [(f.file_path, f.line_start) for f in result.scanner_findings] == [
+                (f"repo/{target.name}", 7)
+            ]
+
+    def test_parallel_scans_never_pair_a_list_with_another_lists_index(self, tmp_path):
+        import sys
+
+        targets = self._targets(tmp_path, 48)
+        reports = [[finding_in(f"f{n}.js", line=line) for n in range(48)] for line in (1, 2, 3)]
+        context = ScanContext(
+            gateway=MockGateway(),
+            scanner=lambda target: reports[int(target.stem[1:]) % 3],
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_scan_batch(targets, RetrievalMode.RAW_LSAST, context=context,
+                                     parallelism=8)
+        finally:
+            sys.setswitchinterval(interval)
+        for n, result in enumerate(results):
+            assert [(f.file_path, f.line_start) for f in result.scanner_findings] == [
+                (f"f{n}.js", n % 3 + 1)
+            ]

@@ -5,8 +5,11 @@ import sys
 import pytest
 
 from lsast.errors import ScannerExecutionError, ScannerReportError, ScannerTimeoutError
+from pathlib import PurePosixPath, PureWindowsPath
+
 from lsast.sast import (
     Finding,
+    FindingIndex,
     FormattedFinding,
     filter_findings_for_file,
     format_findings,
@@ -168,6 +171,62 @@ class TestFilterForFile:
     def test_windows_separators(self):
         findings = [self._finding("repos\\dvna\\core\\appHandler.js")]
         assert filter_findings_for_file(findings, "core/appHandler.js") == findings
+
+
+def reference_filter(findings, target_path):
+    """The per-finding loop FindingIndex replaced, kept as the oracle."""
+
+    def parts_of(path):
+        parts = PureWindowsPath(path).parts if "\\" in path else PurePosixPath(path).parts
+        return tuple(part for part in parts if part not in ("/", "\\"))
+
+    target_parts = parts_of(str(target_path))
+    kept = []
+    for finding in findings:
+        parts = parts_of(finding.file_path)
+        if not parts or not target_parts:
+            continue
+        shorter, longer = sorted((parts, target_parts), key=len)
+        if longer[-len(shorter):] == shorter:
+            kept.append(finding)
+    return kept
+
+
+class TestFindingIndexOracle:
+    COMPONENTS = ["core", "app", "a", "b", "..", ".", "handler.js", "app.js", "x.py"]
+    ROOTS = ["", "", "/", "//", "C:\\", "\\", "\\\\srv\\share\\", "C:"]
+    ODD = ["", "/", "\\", "C:\\", ".", "handler.js", "\\handler.js", "core//handler.js"]
+
+    def _path(self, rng):
+        if rng.random() < 0.1:
+            return rng.choice(self.ODD)
+        windows = rng.random() < 0.4
+        root = rng.choice(self.ROOTS) if windows else rng.choice(["", "", "/"])
+        names = [rng.choice(self.COMPONENTS) for _ in range(rng.randint(1, 4))]
+        return root + ("\\" if windows else "/").join(names)
+
+    def _findings(self, rng, count):
+        findings = []
+        repeated = self._path(rng)
+        for n in range(count):
+            path = repeated if rng.random() < 0.3 else self._path(rng)
+            findings.append(Finding(cwe_ids=[str(n)], rule_id="r", title="", description="",
+                                    file_path=path, line_start=1, line_end=1))
+        return findings
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_reference_loop_in_order(self, seed):
+        rng = random.Random(seed)
+        findings = self._findings(rng, rng.randint(0, 120))
+        index = FindingIndex(findings)
+        assert len(index) == len(findings)
+        targets = [self._path(rng) for _ in range(40)] + self.ODD
+        targets += [f.file_path for f in rng.sample(findings, min(10, len(findings)))]
+        for target in targets:
+            want = [id(f) for f in reference_filter(findings, target)]
+            assert [id(f) for f in index.for_file(target)] == want, target
+            assert [id(f) for f in filter_findings_for_file(findings, target)] == want
+            assert [id(f) for f in filter_findings_for_file(index, target)] == want
 
 
 class TestRunExternalScanner:
