@@ -278,7 +278,6 @@ class TestEvalRegimes:
             assert json.loads(captured.out)["columns"][0]["counts"]["fn"] == 2
             assert "1 duplicate records counted once" in captured.err
 
-
     def test_truth_file_paths_parsed_once_per_eval(self, workspace, capsys, tmp_path,
                                                     monkeypatch):
         import lsast.sast as sast
