@@ -14,6 +14,7 @@ with the deterministic embedder reproduces the file bitwise.
 
 import hashlib
 import logging
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -81,19 +82,42 @@ def abstract_code(code: str, llm) -> str | None:
 
 
 class DerivationCache:
-    """Per-process cache keyed by (content digest, derivation kind)."""
+    """Per-process cache keyed by (content digest, derivation kind).
+
+    Single flight: concurrent callers of one key wait for one derivation. A
+    failure is not cached; a caller that waited on a failed derivation
+    derives the key itself.
+    """
 
     def __init__(self):
         self._store: dict[tuple[str, str], str | None] = {}
+        self._lock = threading.Lock()
+        # key -> a lock its leader holds until the derivation ends
+        self._in_flight: dict[tuple[str, str], threading.Lock] = {}
 
     def derive(self, kind: IndexKind, code: str, llm):
         key = (hashlib.sha256(code.encode("utf-8")).hexdigest(), kind.value)
-        if key not in self._store:
-            if kind is IndexKind.FUNCTIONALITY:
-                self._store[key] = summarize_functionality(code, llm)
-            else:
-                self._store[key] = abstract_code(code, llm)
-        return self._store[key]
+        while True:
+            with self._lock:
+                if key in self._store:
+                    return self._store[key]
+                leader = self._in_flight.get(key)
+                if leader is None:
+                    done = self._in_flight[key] = threading.Lock()
+                    done.acquire()
+                    break
+            with leader:  # returns once the leader's derivation has ended
+                pass
+        try:
+            derive = summarize_functionality if kind is IndexKind.FUNCTIONALITY else abstract_code
+            value = derive(code, llm)
+            with self._lock:
+                self._store[key] = value
+        finally:
+            with self._lock:
+                del self._in_flight[key]
+            done.release()
+        return value
 
 
 class OfflineEmbedder:

@@ -21,7 +21,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -141,7 +141,18 @@ class ScanResult:
     timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "mode": self.mode.value}
+        """The record payload: every container copied, immutable leaves shared."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data.update(
+            mode=self.mode.value,
+            scanner_findings=[{**vars(f), "cwe_ids": list(f.cwe_ids)} for f in self.scanner_findings],
+            retrieved_report_ids={key: list(ids) for key, ids in self.retrieved_report_ids.items()},
+            included_report_ids=list(self.included_report_ids),
+            dropped_report_ids=list(self.dropped_report_ids),
+            predicted=[dict(vars(p)) for p in self.predicted],
+            timings=dict(self.timings),
+        )
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScanResult":
@@ -237,10 +248,10 @@ def run_scan(target, mode: RetrievalMode, k: int = DEFAULT_K,
     if k < 1:
         raise ConfigurationError("k must be >= 1")
     mode = RetrievalMode(mode)
+    t_start = time.monotonic()
     _validate_dependencies(mode, context)
 
     target = Path(target)
-    t_start = time.monotonic()
     try:
         source = target.read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
@@ -421,7 +432,8 @@ def persist_scan(result: ScanResult, out_dir) -> Path:
 
     The record id is a prefix of the content digest, which covers everything
     except timings, so identical scans persist under the same id with
-    distinct timestamps and filenames.
+    distinct timestamps and filenames. The file is one line of canonical
+    JSON.
 
     Raises:
         ScanError: out_dir cannot be created or written.
@@ -437,7 +449,7 @@ def persist_scan(result: ScanResult, out_dir) -> Path:
     }
     path = Path(out_dir) / f"scan-{record['record_id']}-{time.time_ns()}.json"
     with replacing(path, ScanError) as tmp:
-        tmp.write_text(canonical_json(record, indent=2) + "\n", encoding="utf-8")
+        tmp.write_text(canonical_json(record) + "\n", encoding="utf-8")
     return path
 
 
@@ -452,6 +464,9 @@ class PersistedScan:
 
 def load_scan(path) -> PersistedScan:
     """Load and verify one persisted scan record.
+
+    Any JSON layout loads: the digest covers the canonical form, so the
+    indented files of earlier versions verify as they are.
 
     Raises:
         RecordIntegrityError: unreadable, truncated, or digest-mismatched.

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,69 @@ class TestDerivations:
         cache.derive(IndexKind.ABSTRACTION, "var x = 1", gateway)
         cache.derive(IndexKind.FUNCTIONALITY, "var x = 1", gateway)
         assert gateway.call_count == 2
+
+    def test_failed_derivation_is_not_cached(self):
+        class FailsOnce(MockGateway):
+            failed = False
+
+            def complete(self, prompt):
+                if not self.failed:
+                    self.failed = True
+                    raise DerivationError("model hiccup")
+                return super().complete(prompt)
+
+        gateway = FailsOnce()
+        cache = DerivationCache()
+        with pytest.raises(DerivationError):
+            cache.derive(IndexKind.FUNCTIONALITY, "var x = 1", gateway)
+        assert cache.derive(IndexKind.FUNCTIONALITY, "var x = 1", gateway).startswith("Perform")
+        assert gateway.call_count == 1
+
+    def test_waiter_derives_itself_when_its_leader_fails(self):
+        entered = []
+        leading = []
+        changed = threading.Condition()
+
+        class CountingCache(DerivationCache):
+            def derive(self, kind, code, llm):
+                with changed:
+                    entered.append(threading.current_thread())
+                    changed.notify_all()
+                return super().derive(kind, code, llm)
+
+        class LeaderFails(MockGateway):
+            def complete(self, prompt):
+                if threading.current_thread() is leader:
+                    # fail only once the other caller is waiting on this key
+                    with changed:
+                        leading.append(True)
+                        changed.notify_all()
+                        assert changed.wait_for(lambda: len(entered) == 2, timeout=10)
+                    raise DerivationError("leader failed")
+                return super().complete(prompt)
+
+        cache = CountingCache()
+        gateway = LeaderFails()
+        outcomes = {}
+
+        def call(name):
+            try:
+                outcomes[name] = cache.derive(IndexKind.FUNCTIONALITY, "var x = 1", gateway)
+            except DerivationError as exc:
+                outcomes[name] = exc
+
+        leader = threading.Thread(target=call, args=("leader",))
+        leader.start()
+        with changed:
+            assert changed.wait_for(lambda: leading, timeout=10)
+        waiter = threading.Thread(target=call, args=("waiter",))
+        waiter.start()
+        for thread in (leader, waiter):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert isinstance(outcomes["leader"], DerivationError)
+        assert outcomes["waiter"].startswith("Perform the operation identified by")
+        assert gateway.call_count == 1
 
 
 class TestBuildAndPersist:

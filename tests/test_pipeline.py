@@ -1,12 +1,17 @@
+import copy
 import hashlib
 import json
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
+from lsast.cli import main
 from lsast.errors import ConfigurationError, GatewayError, RecordIntegrityError, ScanError
 from lsast.gateway import MockGateway, PredictedFinding
-from lsast.index import IndexKind, OfflineEmbedder, VectorIndex
+from lsast.index import DerivationCache, IndexKind, OfflineEmbedder, VectorIndex
+from lsast.jsonio import canonical_json
 from lsast.pipeline import (
     RetrievalMode,
     ScanContext,
@@ -213,6 +218,17 @@ class TestRunScan:
         assert result.none_found is False
         assert result.raw_response == reply
 
+    def test_total_s_covers_validation(self, js_target, context, monkeypatch):
+        digest = context.corpus.digest
+
+        def slow_digest():
+            time.sleep(0.05)
+            return digest()
+
+        monkeypatch.setattr(context.corpus, "digest", slow_digest)
+        result = run_scan(js_target, RetrievalMode.COMBINED, context=context)
+        assert result.timings["total_s"] >= 0.05
+
     def test_prompt_digest_is_stable(self, js_target, context):
         first = run_scan(js_target, RetrievalMode.COMBINED_LSAST, context=context)
         second = run_scan(js_target, RetrievalMode.COMBINED_LSAST, context=context)
@@ -367,6 +383,49 @@ class TestPersistence:
         monkeypatch.undo()
         assert list(out.iterdir()) == []
         assert load_scan_directory(out) == []
+
+    def _indented_copy(self, path):
+        """The record at `path` in the indented layout of earlier versions."""
+        record = json.loads(path.read_text(encoding="utf-8"))
+        old = path.with_name(f"scan-{record['record_id']}-0.json")
+        old.write_text(canonical_json(record, indent=2) + "\n", encoding="utf-8")
+        return old
+
+    def test_record_file_is_one_canonical_line(self, js_target, context, tmp_path):
+        result = run_scan(js_target, RetrievalMode.COMBINED_LSAST, context=context)
+        text = persist_scan(result, tmp_path / "scans").read_text(encoding="utf-8")
+        assert text == canonical_json(json.loads(text)) + "\n"
+        assert text.count("\n") == 1
+
+    def test_indented_record_still_loads(self, js_target, context, tmp_path):
+        result = run_scan(js_target, RetrievalMode.COMBINED_LSAST, context=context)
+        out = tmp_path / "scans"
+        path = persist_scan(result, out)
+        old = self._indented_copy(path)
+        path.unlink()
+        assert "\n  " in old.read_text(encoding="utf-8")
+        loaded = load_scan(old)
+        assert loaded.result == result
+        [from_directory] = load_scan_directory(out)
+        assert from_directory.content_digest == loaded.content_digest
+        assert from_directory.result == result
+
+    def test_eval_counts_indented_and_one_line_copies_once(self, js_target, context, tmp_path,
+                                                           capsys):
+        result = run_scan(js_target, RetrievalMode.RAW_LSAST, context=context)
+        assert result.scanner_findings
+        out = tmp_path / "scans"
+        path = persist_scan(result, out)
+        capsys.readouterr()
+        assert main(["eval", "--records", str(out), "--format", "json"]) == 0
+        alone = capsys.readouterr().out
+
+        self._indented_copy(path)
+        assert len(list(out.glob("scan-*.json"))) == 2
+        assert main(["eval", "--records", str(out), "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == alone
+        assert "1 duplicate records counted once" in captured.err
 
 
 class TestDeterminism:
@@ -530,3 +589,71 @@ class TestHotPath:
             assert [(f.file_path, f.line_start) for f in result.scanner_findings] == [
                 (f"f{n}.js", n % 3 + 1)
             ]
+
+    def test_persist_makes_no_deep_copy(self, tmp_path, monkeypatch):
+        def no_deepcopy(*args, **kwargs):
+            raise AssertionError("copy.deepcopy called while persisting")
+
+        monkeypatch.setattr(copy, "deepcopy", no_deepcopy)
+        path = persist_scan(pinned_result(), tmp_path / "scans")
+        monkeypatch.undo()
+        assert load_scan(path).result == pinned_result()
+
+    def test_to_dict_shares_no_container_with_the_result(self):
+        def containers(value, found):
+            if isinstance(value, (list, dict)):
+                found.add(id(value))
+                for item in value.values() if isinstance(value, dict) else value:
+                    containers(item, found)
+            elif hasattr(value, "__dataclass_fields__"):
+                for item in vars(value).values():
+                    containers(item, found)
+            return found
+
+        result = pinned_result()
+        data = result.to_dict()
+        assert not containers(result, set()) & containers(data, set())
+        data["scanner_findings"][0]["cwe_ids"].append("1")
+        data["retrieved_report_ids"]["functionality"].append(9)
+        data["timings"]["total_s"] = 9.0
+        assert result == pinned_result()
+
+    def test_concurrent_identical_targets_derive_each_key_once(self, tmp_path, context):
+        first, second = tmp_path / "a.js", tmp_path / "b.js"
+        for target in (first, second):
+            target.write_text("var q = \"SELECT * FROM t WHERE a='\" + req.query.a + \"'\";\n")
+        entered = {kind: 0 for kind in IndexKind}
+        changed = threading.Condition()
+        deriving = threading.local()
+        model_derivations = []
+
+        class CountingCache(DerivationCache):
+            def derive(self, kind, code, llm):
+                with changed:
+                    entered[kind] += 1
+                    changed.notify_all()
+                deriving.kind = kind
+                try:
+                    return super().derive(kind, code, llm)
+                finally:
+                    deriving.kind = None
+
+        class HeldDerivations(MockGateway):
+            def complete(self, prompt):
+                kind = getattr(deriving, "kind", None)
+                if kind is not None:
+                    model_derivations.append(kind)
+                    # hold the model call until the other scan has asked for the same key
+                    with changed:
+                        assert changed.wait_for(lambda: entered[kind] == 2, timeout=10)
+                return super().complete(prompt)
+
+        context.gateway = HeldDerivations()
+        context.cache = CountingCache()
+        results = run_scan_batch([first, second], RetrievalMode.COMBINED, k=2,
+                                 context=context, parallelism=2)
+        assert entered == {kind: 2 for kind in IndexKind}
+        assert sorted(model_derivations, key=lambda kind: kind.value) == [
+            IndexKind.ABSTRACTION, IndexKind.FUNCTIONALITY
+        ]
+        assert results[0].prompt_digest == results[1].prompt_digest
