@@ -183,7 +183,7 @@ def extract_code_snippets(report: VulnerabilityReport, llm=None) -> list[CodeSni
     Fenced code blocks win (document order, info string dropped, blocks that
     are empty after trimming skipped). Only when none exist and a gateway is
     supplied is a single llm_extracted snippet requested via the code-pattern
-    protocol; the "no code" answer yields an empty list.
+    protocol; the "no code" answer or a blank pattern yields an empty list.
 
     Raises:
         GatewayError / DerivationError: gateway failed or answered without
@@ -203,7 +203,7 @@ def extract_code_snippets(report: VulnerabilityReport, llm=None) -> list[CodeSni
     if llm is None or not body.strip():
         return []
     pattern = abstract_code(body, llm)
-    if pattern is None or not pattern.strip():
+    if pattern is None:
         return []
     return [CodeSnippet(report.id, 0, pattern, ExtractionMethod.LLM_EXTRACTED)]
 

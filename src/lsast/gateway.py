@@ -1,8 +1,9 @@
 """Chat-completion gateway and structured response parsing.
 
-A "gateway" is anything with complete(prompt) -> response text. ChatClient
-speaks the JSON-over-HTTP chat-completion protocol of common local model
-servers; MockGateway is a deterministic offline stand-in used by tests, the
+A "gateway" is anything with complete(prompt) -> str that raises
+GatewayError when no reply text can be had. ChatClient speaks the
+JSON-over-HTTP chat-completion protocol of common local model servers;
+MockGateway is a deterministic offline stand-in used by tests, the
 acceptance suite, and the "mock:" endpoint scheme.
 
 The API key is read from the LSAST_API_KEY environment variable at request
@@ -23,8 +24,6 @@ from .transport import send
 
 API_KEY_ENV = "LSAST_API_KEY"
 
-_VALID_ROLES = {"system", "user", "assistant"}
-
 _NONE_FOUND_RE = re.compile(r"(?i)no\s+(?:additional\s+)?vulnerabil(?:i)?ties\s+found")
 # Field markers are line-anchored; an optional leading quote covers model
 # output that reproduces the quoted schema from the prompt.
@@ -32,43 +31,6 @@ _BLOCK_START_RE = re.compile(r'(?im)^[ \t]*(")?[ \t]*CWE-ID[ \t]*:')
 _REASON_RE = re.compile(r'(?im)^[ \t]*(")?[ \t]*Reason[ \t]*:(.*)$')
 _LINE_RE = re.compile(r'(?im)^[ \t]*(")?[ \t]*line[ \t]*:(.*)$')
 _SNIPPET_RE = re.compile(r'(?im)^[ \t]*(")?[ \t]*code-snippet[ \t]*: ?')
-
-
-@dataclass
-class ChatRequest:
-    """One chat-completion request.
-
-    messages is an ordered list of {"role": ..., "content": ...} dicts with
-    roles from {system, user, assistant}.
-    """
-
-    model: str
-    messages: list[dict]
-    temperature: float = 0.0
-    max_tokens: int = 2048
-    seed: int | None = None
-
-    def __post_init__(self):
-        if not self.messages:
-            raise ValueError("messages must be non-empty")
-        for message in self.messages:
-            if message.get("role") not in _VALID_ROLES:
-                raise ValueError(f"invalid message role: {message.get('role')!r}")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_tokens <= 0:
-            raise ValueError("max_tokens must be positive")
-
-    def to_payload(self) -> dict:
-        payload = {
-            "model": self.model,
-            "messages": self.messages,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-        }
-        if self.seed is not None:
-            payload["seed"] = self.seed
-        return payload
 
 
 @dataclass
@@ -93,60 +55,56 @@ class ScanResponse:
 class ChatClient:
     """Client for a chat-completions route on a local model server.
 
+    complete(prompt) is its whole contract: it sends the prompt as one user
+    message and returns the reply's content string, or raises GatewayError.
+    The decoding settings are checked where they enter (config loading).
+
     Args:
         endpoint: full URL of the chat-completions route.
         model: model name sent in every request.
         timeout: per-request timeout in seconds.
         retries: retry attempts after the first request, under the shared
             policy of `transport.send`.
-        temperature, max_tokens, seed: decoding defaults for complete().
+        temperature, max_tokens: decoding settings sent in every request,
+            with a fixed seed of 0.
     """
 
     def __init__(self, endpoint: str, model: str, *, timeout: float = 120.0,
-                 retries: int = 2, temperature: float = 0.0,
-                 max_tokens: int = 2048, seed: int | None = 0):
+                 retries: int = 2, temperature: float = 0.0, max_tokens: int = 2048):
         self.endpoint = endpoint
         self.model = model
         self.timeout = timeout
         self.retries = retries
         self.temperature = temperature
         self.max_tokens = max_tokens
-        self.seed = seed
-        self.last_usage: dict | None = None
-        self.total_tokens = 0
         self.session = requests.Session()
 
     def complete(self, prompt: str) -> str:
-        request = ChatRequest(
-            model=self.model,
-            messages=[{"role": "user", "content": prompt}],
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
-            seed=self.seed,
-        )
-        return self.chat(request)
+        """Send `prompt` and return the reply text.
 
-    def chat(self, request: ChatRequest) -> str:
+        Raises:
+            GatewayError: the request failed under the retry policy, or the
+                response lacks a string at choices[0].message.content.
+        """
+        payload = {
+            "model": self.model,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": self.temperature,
+            "max_tokens": self.max_tokens,
+            "seed": 0,
+        }
         headers = {}
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         response = send(self.session, "post", self.endpoint, "chat endpoint", GatewayError,
-                        self.retries, json=request.to_payload(), headers=headers,
-                        timeout=self.timeout)
+                        self.retries, json=payload, headers=headers, timeout=self.timeout)
         try:
-            data = response.json()
-            content = data["choices"][0]["message"]["content"]
+            content = response.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError):
-            raise GatewayError(
-                f"malformed chat response: {response.text[:200]}"
-            ) from None
-        usage = data.get("usage")
-        if isinstance(usage, dict):
-            self.last_usage = usage
-            total = usage.get("total_tokens")
-            if isinstance(total, int):
-                self.total_tokens += total
+            content = None
+        if not isinstance(content, str):
+            raise GatewayError(f"malformed chat response: {response.text[:200]}")
         return content
 
 

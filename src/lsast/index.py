@@ -164,8 +164,9 @@ class HttpEmbedder:
 
     Sends {"model": ..., "input": ...}; accepts {"vector": [...]} or the
     {"data": [{"embedding": [...]}]} shape. Vectors are unit-normalized
-    client-side so the contract holds regardless of backend behavior.
-    Requests retry under the shared policy of `transport.send`.
+    client-side so the contract holds regardless of backend behavior; a
+    non-numeric, non-finite or zero vector is a GatewayError. Requests retry
+    under the shared policy of `transport.send`.
     """
 
     def __init__(self, endpoint: str, model: str, dimension: int, timeout: float = 60.0,
@@ -199,13 +200,20 @@ class HttpEmbedder:
             raise GatewayError(
                 f"malformed embedding response: {response.text[:200]}"
             ) from None
-        vector = np.asarray(raw, dtype=np.float64)
+        try:
+            vector = np.asarray(raw, dtype=np.float64)
+        except (ValueError, TypeError):
+            raise GatewayError(
+                f"embedding backend returned a non-numeric vector: {response.text[:200]}"
+            ) from None
         if vector.ndim != 1 or vector.shape[0] != self.dimension:
             raise ConfigurationError(
                 f"embedding backend returned dimension {vector.shape}, "
                 f"configured {self.dimension}"
             )
         norm = float(np.linalg.norm(vector))
+        if not np.isfinite(norm):
+            raise GatewayError("embedding backend returned a non-finite vector")
         if norm == 0.0:
             raise GatewayError("embedding backend returned a zero vector")
         return vector / norm
@@ -278,8 +286,9 @@ class VectorIndex:
         """Derive and embed every cataloged snippet of `corpus`.
 
         Abstraction entries are skipped (not failed) when the derivation
-        answers "no code". Per-snippet failures are recorded and the build
-        continues; a failure rate above 50% marks the build degraded.
+        answers "no code" or a blank pattern. Per-snippet failures are
+        recorded and the build continues; a failure rate above 50% marks the
+        build degraded.
 
         Raises:
             CorpusError: the snippet catalog is stale for this corpus.

@@ -239,9 +239,9 @@ def run_scan(target, mode: RetrievalMode, k: int = DEFAULT_K,
     Raises:
         ConfigurationError: a dependency the mode needs is missing or stale
             (raised before any model call).
-        ScanError: the target is unreadable/empty, a retrieval step failed,
-            or the scan call failed; scan-call failures carry a partial
-            result with the retrievals preserved.
+        ScanError: the target is unreadable or blank (whitespace only), a
+            retrieval step failed, or the scan call failed; scan-call
+            failures carry a partial result with the retrievals preserved.
     """
     if context is None:
         raise ConfigurationError("run_scan needs a ScanContext")
@@ -256,9 +256,9 @@ def run_scan(target, mode: RetrievalMode, k: int = DEFAULT_K,
         source = target.read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
         raise ScanError(f"cannot read target {target}: {exc}") from None
-    annotated = annotate_lines(source, context.line_budget)
-    if annotated.line_count == 0:
+    if not source.strip():
         raise ScanError(f"target {target} is empty")
+    annotated = annotate_lines(source, context.line_budget)
 
     timings = {}
     scanner_findings: list[Finding] = []

@@ -196,7 +196,7 @@ def parse_code_pattern(response: str) -> str | None:
 
     Takes the substring between the first "[" after the marker and the LAST
     "]" in the response, so patterns containing brackets survive. Returns
-    None for the "no code" answer.
+    None for the "no code" answer and for a blank pattern.
 
     Raises:
         DerivationError: marker or brackets missing; the raw response is
@@ -214,6 +214,6 @@ def parse_code_pattern(response: str) -> str | None:
             f"response lacks a bracketed pattern: {response[:200]!r}"
         )
     pattern = response[open_at + 1:close_at]
-    if pattern.strip().lower() == NO_CODE_ANSWER:
+    if pattern.strip().lower() in ("", NO_CODE_ANSWER):
         return None
     return pattern

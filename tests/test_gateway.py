@@ -11,7 +11,6 @@ import requests
 from lsast.errors import ConfigurationError, GatewayError
 from lsast.gateway import (
     ChatClient,
-    ChatRequest,
     MockGateway,
     PredictedFinding,
     parse_scan_response,
@@ -61,11 +60,10 @@ def chat_server():
     server.server_close()
 
 
-def _ok_payload(content, total_tokens=42):
+def _ok_payload(content):
     return {
         "choices": [{"message": {"role": "assistant", "content": content}}],
-        "usage": {"prompt_tokens": 30, "completion_tokens": 12,
-                  "total_tokens": total_tokens},
+        "usage": {"prompt_tokens": 30, "completion_tokens": 12, "total_tokens": 42},
     }
 
 
@@ -79,14 +77,13 @@ class TestChatClient:
         client = ChatClient(_endpoint(chat_server), "test-model",
                             temperature=0.5, max_tokens=321, retries=0)
         assert client.complete("say hello") == "hello"
-        body = chat_server.requests[0]["body"]
-        assert body["model"] == "test-model"
-        assert body["messages"] == [{"role": "user", "content": "say hello"}]
-        assert body["temperature"] == 0.5
-        assert body["max_tokens"] == 321
-        assert body["seed"] == 0
-        assert client.total_tokens == 42
-        assert client.last_usage["completion_tokens"] == 12
+        assert chat_server.requests[0]["body"] == {
+            "model": "test-model",
+            "messages": [{"role": "user", "content": "say hello"}],
+            "temperature": 0.5,
+            "max_tokens": 321,
+            "seed": 0,
+        }
 
     def test_api_key_sent_as_bearer_header(self, chat_server, monkeypatch):
         monkeypatch.setenv("LSAST_API_KEY", "sk-test-123")
@@ -116,6 +113,14 @@ class TestChatClient:
         with pytest.raises(GatewayError):
             client.complete("x")
 
+    @pytest.mark.parametrize("content", [None, [{"type": "text", "text": "hi"}], 7])
+    def test_non_string_content_raises(self, chat_server, monkeypatch, content):
+        monkeypatch.delenv("LSAST_API_KEY", raising=False)
+        chat_server.responses = [(200, _ok_payload(content))]
+        client = ChatClient(_endpoint(chat_server), "m", retries=0)
+        with pytest.raises(GatewayError, match="malformed chat response"):
+            client.complete("x")
+
     def test_transport_failure_retries_then_succeeds(self, chat_server, monkeypatch):
         monkeypatch.delenv("LSAST_API_KEY", raising=False)
         chat_server.drop_next = True
@@ -131,13 +136,6 @@ class TestChatClient:
             client.complete("x")
         assert "2 attempts" in str(exc.value)
 
-    def test_usage_accumulates_across_calls(self, chat_server, monkeypatch):
-        monkeypatch.delenv("LSAST_API_KEY", raising=False)
-        client = ChatClient(_endpoint(chat_server), "m", retries=0)
-        client.complete("a")
-        client.complete("b")
-        assert client.total_tokens == 84
-
 
 class TestHttpEmbedder:
     def test_both_response_shapes_unit_normalised(self, chat_server):
@@ -151,6 +149,18 @@ class TestHttpEmbedder:
     def test_wrong_dimension_is_configuration_error(self, chat_server):
         chat_server.responses = [(200, {"vector": [1, 2, 3]})]
         with pytest.raises(ConfigurationError):
+            HttpEmbedder(_endpoint(chat_server), "e", 2).embed("a")
+
+    @pytest.mark.parametrize("vector", [["a", "b"], [{"x": 1}, 1]])
+    def test_non_numeric_vector_is_gateway_error(self, chat_server, vector):
+        chat_server.responses = [(200, {"vector": vector})]
+        with pytest.raises(GatewayError, match="non-numeric"):
+            HttpEmbedder(_endpoint(chat_server), "e", 2).embed("a")
+
+    @pytest.mark.parametrize("vector", [[float("nan"), 1], [float("inf"), 1]])
+    def test_non_finite_vector_is_gateway_error(self, chat_server, vector):
+        chat_server.responses = [(200, {"vector": vector})]
+        with pytest.raises(GatewayError, match="non-finite"):
             HttpEmbedder(_endpoint(chat_server), "e", 2).embed("a")
 
     def test_zero_vector_is_gateway_error(self, chat_server):
@@ -215,29 +225,6 @@ class TestRetryPolicy:
         # backoff doubles from 0.5 s and caps at 4 s; a 429 waits its
         # Retry-After (1 s when unusable or absent, capped at 30 s)
         assert sleeps == [0.5, 1.0, 1.0, 30.0, 1.0, 4.0]
-
-
-class TestChatRequest:
-    def test_payload_includes_seed_only_when_set(self):
-        with_seed = ChatRequest(model="m", messages=[{"role": "user", "content": "x"}],
-                                temperature=0.0, max_tokens=10, seed=7)
-        assert with_seed.to_payload()["seed"] == 7
-        without = ChatRequest(model="m", messages=[{"role": "user", "content": "x"}],
-                              temperature=0.0, max_tokens=10, seed=None)
-        assert "seed" not in without.to_payload()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ChatRequest(model="m", messages=[], temperature=0.0, max_tokens=10)
-        with pytest.raises(ValueError):
-            ChatRequest(model="m", messages=[{"role": "robot", "content": "x"}],
-                        temperature=0.0, max_tokens=10)
-        with pytest.raises(ValueError):
-            ChatRequest(model="m", messages=[{"role": "user", "content": "x"}],
-                        temperature=-1.0, max_tokens=10)
-        with pytest.raises(ValueError):
-            ChatRequest(model="m", messages=[{"role": "user", "content": "x"}],
-                        temperature=0.0, max_tokens=0)
 
 
 class TestParseScanResponse:

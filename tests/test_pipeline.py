@@ -176,9 +176,11 @@ class TestRunScan:
 
     def test_empty_target_fails(self, tmp_path, context):
         empty = tmp_path / "empty.js"
-        empty.write_text("")
-        with pytest.raises(ScanError):
-            run_scan(empty, RetrievalMode.RAW, context=context)
+        for text in ("", "  \n\t\n   \r\n"):
+            empty.write_text(text)
+            for mode in MODES:
+                with pytest.raises(ScanError, match="is empty"):
+                    run_scan(empty, mode, context=context)
 
     def test_missing_target_fails(self, tmp_path, context):
         with pytest.raises(ScanError):
@@ -276,6 +278,29 @@ class TestBatch:
         assert not isinstance(results[0], ScanFailure)
         assert isinstance(results[1], ScanFailure)
         assert results[1].error_type == "ScanError"
+
+    def test_blank_target_fails_alone(self, tmp_path, context):
+        (tmp_path / "a.js").write_text("var x = 1\n")
+        (tmp_path / "b.js").write_text("   \n\n  \n")
+        results = run_scan_batch([tmp_path], RetrievalMode.FUNCTIONALITY, context=context)
+        assert isinstance(results[0], ScanResult)
+        assert isinstance(results[1], ScanFailure)
+        assert "is empty" in results[1].error
+
+    def test_blank_code_pattern_fails_alone(self, tmp_path, context):
+        class BlankPattern(MockGateway):
+            def complete(self, prompt):
+                if "Code-Pattern:[xxxx]" in prompt and "no_pattern" in prompt:
+                    return "Code-Pattern:[]"
+                return super().complete(prompt)
+
+        context.gateway = BlankPattern()
+        (tmp_path / "a.js").write_text("var x = 1\n")
+        (tmp_path / "b.js").write_text("var no_pattern = 1\n")
+        results = run_scan_batch([tmp_path], RetrievalMode.ABSTRACTION, context=context)
+        assert isinstance(results[0], ScanResult)
+        assert isinstance(results[1], ScanFailure)
+        assert "no code pattern" in results[1].error
 
     def test_all_failed_raises(self, tmp_path, context):
         bad = tmp_path / "bad.js"

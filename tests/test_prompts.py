@@ -164,6 +164,8 @@ class TestDerivationPrompts:
     def test_parse_code_pattern_no_code_answer(self):
         assert parse_code_pattern("Code-Pattern:[no code]") is None
         assert parse_code_pattern("Code-Pattern:[ No Code ]") is None
+        assert parse_code_pattern("Code-Pattern:[]") is None
+        assert parse_code_pattern("Code-Pattern:[ \n\t ]") is None
 
     def test_parse_code_pattern_missing_marker_raises(self):
         with pytest.raises(DerivationError):
