@@ -7,11 +7,17 @@ unjustified complexity. Hits come back in non-increasing similarity with
 ties broken by ascending sequence number.
 
 Index files are JSONL: a header line carrying {version, kind, dimension,
-embedder id, corpus digest}, then one entry per line. JSON float
-serialization is shortest-round-trip, so rebuilding from the same corpus
-with the deterministic embedder reproduces the file bitwise.
+embedder id, corpus digest, entry count}, then one entry per line. In
+version 2, the version `save` writes, an entry's embedding is the base64 of
+the vector's little-endian float64 bytes: the stored bytes are the vector's
+own bits, so loading gives back the exact vector, and rebuilding from the
+same corpus with the deterministic embedder reproduces the file bitwise.
+Version 1 stored the embedding as a JSON float list; `load` still reads it
+and refuses any other version.
 """
 
+import base64
+import dataclasses
 import hashlib
 import logging
 import threading
@@ -125,6 +131,11 @@ class OfflineEmbedder:
 
     Fixed seed, float64, unit-normalized. Exists so tests and air-gapped runs
     need no embedding service; it captures surface similarity only.
+
+    Each instance memoises gram -> (bucket, sign), since derived texts
+    repeat most of their grams. The counts per bucket are exact integers, so
+    a memoised embedding is bitwise the one computed without the memo.
+    Concurrent callers may hash one gram twice; both store the same value.
     """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION, seed: int = 9157, ngram: int = 3):
@@ -133,6 +144,11 @@ class OfflineEmbedder:
         self.dimension = dimension
         self.seed = seed
         self.ngram = ngram
+        self._prefix = f"{seed}:".encode("utf-8")
+        self._grams: dict[str, tuple[int, int]] = {}
+        # (bucket, sign) sits at 2 * bucket + (sign > 0); memo values are these
+        # shared tuples, so a memo entry costs only its key
+        self._hashes = [(bucket, sign) for bucket in range(dimension) for sign in (-1, 1)]
 
     @property
     def identity(self) -> str:
@@ -141,19 +157,22 @@ class OfflineEmbedder:
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise ValueError("cannot embed empty text")
-        vector = np.zeros(self.dimension, dtype=np.float64)
+        counts = [0] * self.dimension
         n = self.ngram
         grams = [text[i:i + n] for i in range(len(text) - n + 1)] if len(text) >= n else [text]
-        prefix = f"{self.seed}:".encode("utf-8")
+        memo = self._grams
         for gram in grams:
-            digest = hashlib.sha256(prefix + gram.encode("utf-8")).digest()
-            bucket = int.from_bytes(digest[:4], "big") % self.dimension
-            sign = 1.0 if digest[4] & 1 else -1.0
-            vector[bucket] += sign
+            hashed = memo.get(gram)
+            if hashed is None:
+                digest = hashlib.sha256(self._prefix + gram.encode("utf-8")).digest()
+                bucket = int.from_bytes(digest[:4], "big") % self.dimension
+                hashed = memo[gram] = self._hashes[2 * bucket + (digest[4] & 1)]
+            counts[hashed[0]] += hashed[1]
+        vector = np.array(counts, dtype=np.float64)
         norm = float(np.linalg.norm(vector))
         if norm == 0.0:
             # all grams cancelled; fall back to a deterministic basis vector
-            digest = hashlib.sha256(prefix + text.encode("utf-8")).digest()
+            digest = hashlib.sha256(self._prefix + text.encode("utf-8")).digest()
             vector[int.from_bytes(digest[:4], "big") % self.dimension] = 1.0
             norm = 1.0
         return vector / norm
@@ -200,12 +219,12 @@ class HttpEmbedder:
             raise GatewayError(
                 f"malformed embedding response: {response.text[:200]}"
             ) from None
-        try:
-            vector = np.asarray(raw, dtype=np.float64)
-        except (ValueError, TypeError):
+        # numpy would coerce strings and booleans; JSON numbers are int or float
+        if not isinstance(raw, list) or any(type(x) not in (int, float) for x in raw):
             raise GatewayError(
                 f"embedding backend returned a non-numeric vector: {response.text[:200]}"
-            ) from None
+            )
+        vector = np.asarray(raw, dtype=np.float64)
         if vector.ndim != 1 or vector.shape[0] != self.dimension:
             raise ConfigurationError(
                 f"embedding backend returned dimension {vector.shape}, "
@@ -229,11 +248,27 @@ class IndexEntry:
     embedding: np.ndarray
 
     def to_record(self) -> dict:
+        """The version-2 line: the embedding as base64 of its "<f8" bytes."""
+        raw = np.ascontiguousarray(self.embedding, dtype="<f8").tobytes()
         return {
             "sequence": self.sequence,
             "derived_text": self.derived_text,
-            "embedding": [float(x) for x in self.embedding],
+            "embedding": base64.b64encode(raw).decode("ascii"),
         }
+
+
+def _float_list_vector(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
+
+
+def _base64_vector(value) -> np.ndarray:
+    if not isinstance(value, str):
+        raise TypeError(f"embedding is {type(value).__name__}, expected a base64 string")
+    return np.frombuffer(base64.b64decode(value, validate=True), dtype="<f8")
+
+
+# file version -> decoder of an entry's "embedding" value
+_EMBEDDING_DECODERS = {1: _float_list_vector, 2: _base64_vector}
 
 
 @dataclass
@@ -251,9 +286,13 @@ class BuildSummary:
 
 
 class VectorIndex:
-    """Immutable-after-build exact-cosine index over derived snippet texts."""
+    """Immutable-after-build exact-cosine index over derived snippet texts.
 
-    FILE_VERSION = 1
+    The vectors live once, in a read-only matrix; each entry's `embedding`
+    is a row view of it.
+    """
+
+    FILE_VERSION = 2
 
     def __init__(self, kind: IndexKind, dimension: int, embedder_id: str,
                  corpus_digest: str, entries: list[IndexEntry]):
@@ -267,13 +306,14 @@ class VectorIndex:
         self.dimension = dimension
         self.embedder_id = embedder_id
         self.corpus_digest = corpus_digest
-        self.entries = list(entries)
-        if self.entries:
-            self._matrix = np.stack([e.embedding for e in self.entries])
-            self._sequences = np.array([e.sequence for e in self.entries])
+        if entries:
+            self._matrix = np.stack([e.embedding for e in entries])
         else:
             self._matrix = np.zeros((0, dimension), dtype=np.float64)
-            self._sequences = np.array([], dtype=np.int64)
+        self._matrix.flags.writeable = False
+        self.entries = [dataclasses.replace(entry, embedding=row)
+                        for entry, row in zip(entries, self._matrix)]
+        self._sequences = np.array([e.sequence for e in entries], dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -360,12 +400,28 @@ class VectorIndex:
 
     @classmethod
     def load(cls, path) -> "VectorIndex":
+        """Read an index file of any version in `_EMBEDDING_DECODERS`.
+
+        Raises:
+            IndexIntegrityError: the file is missing, unreadable, of an
+                unknown version, truncated, or has a corrupt line (named as
+                `path:line`).
+        """
         path = Path(path)
         header = None
         entries = []
         for line_no, record in read_jsonl(path, IndexIntegrityError):
             try:
                 if header is None:
+                    version = record["version"]
+                    decode = (_EMBEDDING_DECODERS.get(version)
+                              if type(version) is int else None)
+                    if decode is None:
+                        raise IndexIntegrityError(
+                            f"index file {path} has version {version!r}; this lsast reads "
+                            f"versions {', '.join(map(str, _EMBEDDING_DECODERS))}. "
+                            "Rebuild it with `lsast index`."
+                        )
                     header = {
                         "kind": IndexKind(record["kind"]),
                         "dimension": int(record["dimension"]),
@@ -374,11 +430,17 @@ class VectorIndex:
                     }
                     declared = int(record["entries"])
                     continue
+                embedding = decode(record["embedding"])
+                if embedding.shape != (header["dimension"],):
+                    raise ValueError(
+                        f"embedding has shape {embedding.shape}, "
+                        f"index declares dimension {header['dimension']}"
+                    )
                 entries.append(IndexEntry(
                     sequence=int(record["sequence"]),
                     kind=header["kind"],
                     derived_text=record["derived_text"],
-                    embedding=np.asarray(record["embedding"], dtype=np.float64),
+                    embedding=embedding,
                 ))
             except (KeyError, ValueError, TypeError) as exc:
                 raise IndexIntegrityError(f"{path}:{line_no}: corrupt index file: {exc}") from None
@@ -400,8 +462,14 @@ class VectorIndex:
         if not self.entries:
             return []
         scores = self._matrix @ np.asarray(query, dtype=np.float64)
+        n = len(self.entries)
+        k = min(k, n)
+        # keep every score >= the k-th best, so ties across the cut stay in
+        candidates = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+        if len(candidates) < k:  # NaN scores defeat the cut; rank them all
+            candidates = np.arange(n)
         # sort by descending similarity, ascending sequence on ties
-        order = np.lexsort((self._sequences, -scores))[:min(k, len(self.entries))]
+        order = candidates[np.lexsort((self._sequences[candidates], -scores[candidates]))][:k]
         return [
             SearchHit(entry=self.entries[i], similarity=float(np.clip(scores[i], -1.0, 1.0)))
             for i in order

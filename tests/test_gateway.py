@@ -151,7 +151,7 @@ class TestHttpEmbedder:
         with pytest.raises(ConfigurationError):
             HttpEmbedder(_endpoint(chat_server), "e", 2).embed("a")
 
-    @pytest.mark.parametrize("vector", [["a", "b"], [{"x": 1}, 1]])
+    @pytest.mark.parametrize("vector", [["a", "b"], [{"x": 1}, 1], ["1", "2"], [True, 1]])
     def test_non_numeric_vector_is_gateway_error(self, chat_server, vector):
         chat_server.responses = [(200, {"vector": vector})]
         with pytest.raises(GatewayError, match="non-numeric"):

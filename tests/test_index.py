@@ -1,3 +1,5 @@
+import hashlib
+import json
 import threading
 
 import numpy as np
@@ -22,6 +24,7 @@ from lsast.index import (
     correlate,
     summarize_functionality,
 )
+from lsast.jsonio import canonical_json
 
 
 def brute_force_topk(vectors: np.ndarray, sequences: list[int], query: np.ndarray,
@@ -35,6 +38,25 @@ def brute_force_topk(vectors: np.ndarray, sequences: list[int], query: np.ndarra
 def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     vec = rng.standard_normal(dim)
     return vec / np.linalg.norm(vec)
+
+
+def dyadic_tied_corpus(rng: np.random.Generator, dim: int,
+                       n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors drawn with repeats from a small pool, plus a query.
+
+    Components are multiples of 1/16 with |x| <= 1/8, so every dot product
+    is exact whatever the summation order: duplicates tie exactly.
+    """
+    pool = rng.integers(-2, 3, size=(max(1, n // 4), dim)) / 16.0
+    vectors = pool[rng.integers(0, len(pool), size=n)]
+    return vectors, rng.integers(-2, 3, size=dim) / 16.0
+
+
+def rewrite_line(path, line_index: int, **fields) -> None:
+    """Replace fields of one JSON line of `path` in place."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[line_index] = canonical_json(dict(json.loads(lines[line_index]), **fields))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def make_index(vectors, sequences, kind=IndexKind.FUNCTIONALITY,
@@ -52,14 +74,12 @@ def make_index(vectors, sequences, kind=IndexKind.FUNCTIONALITY,
 class TestSearchOracle:
     def test_matches_brute_force_on_random_corpora(self):
         rng = np.random.default_rng(2024_08)
-        for _ in range(30):
-            dim = int(rng.integers(8, 65))
-            n = int(rng.integers(1, 201))
-            vectors = np.stack([random_unit(rng, dim) for _ in range(n)])
+
+        def check(vectors, query):
+            n = len(vectors)
             sequences = list(range(1, n + 1))
             shuffle = rng.permutation(n)
             index = make_index(vectors[shuffle], [sequences[i] for i in shuffle])
-            query = random_unit(rng, dim)
             for k in (1, 3, 10, n + 5):
                 hits = index.search_embedded(query, k)
                 got = [(h.entry.sequence, h.similarity) for h in hits]
@@ -67,6 +87,15 @@ class TestSearchOracle:
                 assert [g[0] for g in got] == [e[0] for e in expected]
                 np.testing.assert_allclose([g[1] for g in got],
                                            [e[1] for e in expected], atol=1e-12)
+
+        for _ in range(30):
+            dim = int(rng.integers(8, 65))
+            n = int(rng.integers(1, 201))
+            vectors = np.stack([random_unit(rng, dim) for _ in range(n)])
+            check(vectors, random_unit(rng, dim))
+        # duplicated vectors: tied groups fall across the top-k cut
+        for _ in range(30):
+            check(*dyadic_tied_corpus(rng, int(rng.integers(8, 65)), int(rng.integers(1, 201))))
 
     def test_exact_ties_resolve_by_ascending_sequence(self):
         rng = np.random.default_rng(7)
@@ -79,6 +108,23 @@ class TestSearchOracle:
         index = make_index(vectors, sequences)
         hits = index.search_embedded(base, 3)
         assert [h.entry.sequence for h in hits] == [2, 5, 9]
+        # tied groups straddling the k-th place
+        best = np.eye(16)[0]
+        tied = (np.eye(16)[0] + np.eye(16)[1]) / 2.0  # scores exactly 0.5 against best
+        # five equal vectors, k=2: the cut falls inside the tied group
+        index = make_index([tied] * 5, [8, 3, 6, 1, 4])
+        assert [h.entry.sequence for h in index.search_embedded(best, 2)] == [1, 3]
+        # one unique best plus four ties, k=3
+        index = make_index([tied, tied, best, tied, tied], [7, 4, 9, 2, 5])
+        hits = index.search_embedded(best, 3)
+        assert [h.entry.sequence for h in hits] == [9, 2, 4]
+        assert [h.similarity for h in hits] == [1.0, 0.5, 0.5]
+
+    def test_nan_score_ranks_last_as_in_a_full_sort(self):
+        vectors = [np.full(4, np.nan), np.eye(4)[0], np.eye(4)[1]]
+        index = make_index(vectors, [1, 2, 3])
+        hits = index.search_embedded(np.eye(4)[1], 2)
+        assert [h.entry.sequence for h in hits] == [3, 2]
 
     def test_k_larger_than_corpus_returns_everything(self):
         rng = np.random.default_rng(3)
@@ -123,6 +169,22 @@ class TestOfflineEmbedder:
         # shorter than one ngram: falls back to the whole text as a gram
         vec = OfflineEmbedder().embed("ab")
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+
+    # sha256 of embed(text).tobytes() before gram hashing was memoised
+    @pytest.mark.parametrize("text, digest", [
+        ("select * from users where name = ?",
+         "91e354248a289e2c08152d7b85c0cf00ec77814ac7df9c4b8f3adbae9cf3a6e9"),
+        ("ab",  # shorter than one ngram
+         "f039b4b2803eb0902ae22001eb46d4ece11cb867d3471c24fda2e519c6eab799"),
+        ("naïve café — 文字列 ✓",
+         "0ec8e847a355d4469524abfafe435d31488ef1871f6268e91d3b03119ae4d619"),
+        ("aaha",  # its two grams cancel: the basis-vector fallback
+         "207ee39c2a5989fb9f648504ed055ee2010f111d4542fb50a24951b5da8bde24"),
+    ])
+    def test_vectors_are_bitwise_pinned(self, text, digest):
+        embedder = OfflineEmbedder()
+        for _ in range(2):  # cold, then with every gram memoised
+            assert hashlib.sha256(embedder.embed(text).tobytes()).hexdigest() == digest
 
     def test_identity_encodes_parameters(self):
         assert OfflineEmbedder().identity != OfflineEmbedder(seed=1).identity
@@ -291,6 +353,67 @@ class TestBuildAndPersist:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(IndexIntegrityError):
             VectorIndex.load(path)
+
+    def test_rebuilt_file_is_byte_identical(self, corpus, tmp_path):
+        files = []
+        # a cold embedder, the same one with its gram memo filled, a fresh one
+        for run, embedder in enumerate([OfflineEmbedder()] * 2 + [OfflineEmbedder()]):
+            index, _ = VectorIndex.build(corpus, IndexKind.FUNCTIONALITY,
+                                         llm=MockGateway(), embedder=embedder)
+            files.append(index.save(tmp_path / f"run{run}.jsonl").read_bytes())
+        assert files[0] == files[1] == files[2]
+
+    @pytest.mark.parametrize("embedding", [
+        "not base64!",
+        "AAAAAAAA8D8=",  # one float64 where the index declares more
+        "AAAA",  # three bytes: not a whole float64
+    ])
+    def test_bad_embedding_value_names_the_line(self, corpus, embedder, tmp_path,
+                                                embedding):
+        index, _ = VectorIndex.build(corpus, IndexKind.FUNCTIONALITY,
+                                     llm=MockGateway(), embedder=embedder)
+        path = index.save(tmp_path / "f.jsonl")
+        rewrite_line(path, 2, embedding=embedding)
+        with pytest.raises(IndexIntegrityError, match=f"{path}:3: corrupt"):
+            VectorIndex.load(path)
+
+    def test_unknown_version_refused(self, corpus, embedder, tmp_path):
+        index, _ = VectorIndex.build(corpus, IndexKind.FUNCTIONALITY,
+                                     llm=MockGateway(), embedder=embedder)
+        path = index.save(tmp_path / "f.jsonl")
+        rewrite_line(path, 0, version=99)
+        with pytest.raises(IndexIntegrityError) as exc:
+            VectorIndex.load(path)
+        message = str(exc.value)
+        assert str(path) in message
+        assert "version 99" in message
+        assert "versions 1, 2" in message
+        assert "lsast index" in message
+
+    def test_version_1_float_list_file_loads_bitwise(self, corpus, embedder, tmp_path):
+        index, _ = VectorIndex.build(corpus, IndexKind.ABSTRACTION,
+                                     llm=MockGateway(), embedder=embedder)
+        header = {"version": 1, "kind": index.kind.value, "dimension": index.dimension,
+                  "embedder_id": index.embedder_id, "corpus_digest": index.corpus_digest,
+                  "entries": len(index)}
+        lines = [canonical_json(header)] + [
+            canonical_json({"sequence": e.sequence, "derived_text": e.derived_text,
+                            "embedding": [float(x) for x in e.embedding]})
+            for e in index.entries
+        ]
+        path = tmp_path / "v1.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded = VectorIndex.load(path)
+        assert [e.sequence for e in loaded.entries] == [e.sequence for e in index.entries]
+        for original, restored in zip(index.entries, loaded.entries):
+            assert restored.embedding.tobytes() == original.embedding.tobytes()
+
+    def test_entries_share_the_index_matrix(self, corpus, embedder):
+        index, _ = VectorIndex.build(corpus, IndexKind.FUNCTIONALITY,
+                                     llm=MockGateway(), embedder=embedder)
+        for entry in index.entries:
+            assert np.shares_memory(entry.embedding, index._matrix)
+            assert not entry.embedding.flags.writeable
 
     def test_failed_save_keeps_previous_file(self, corpus, embedder, tmp_path, monkeypatch):
         index, _ = VectorIndex.build(corpus, IndexKind.FUNCTIONALITY,

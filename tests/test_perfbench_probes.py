@@ -1,19 +1,23 @@
 """Fast guards of what the benchmark relies on in lsast.
 
-perfbench/tracing.py patches lsast functions by module and name, and
+perfbench/tracing.py patches lsast functions by module and name,
 perfbench/mock_model.py's gateway answers lsast's prompts with the
-complete(prompt) -> str contract. A renamed or moved function, or a changed
-contract, would otherwise surface only in the slower benchmark smoke run
-(python -m pytest perfbench).
+complete(prompt) -> str contract, and perfbench/run.py measures index files
+through the paths `VectorIndex.save` returns. A renamed or moved function,
+or a changed contract, would otherwise surface only in the slower benchmark
+smoke run (python -m pytest perfbench).
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import lsast.cli
 import lsast.pipeline
 from lsast.annotate import annotate_lines
 from lsast.gateway import MockGateway, parse_scan_response
+from lsast.index import IndexEntry, IndexKind, VectorIndex
 from lsast.prompts import (
     ABSTRACTION_PROMPT,
     FUNCTIONALITY_PROMPT,
@@ -58,3 +62,15 @@ def test_bench_gateway_keeps_the_complete_contract():
     for template in (FUNCTIONALITY_PROMPT, ABSTRACTION_PROMPT):
         assert isinstance(gateway.complete(render_derivation_prompt(template, code)), str)
     assert gateway.calls == {"derive": 2, "scan": 1}
+
+
+def test_index_save_writes_only_the_path_it_returns(tmp_path):
+    # perfbench/run.py sums the sizes of the paths `save` returns as
+    # index.file_bytes; a file written beside them would go uncounted
+    entries = [IndexEntry(sequence=s, kind=IndexKind.FUNCTIONALITY, derived_text=f"t{s}",
+                          embedding=np.eye(4)[s]) for s in range(2)]
+    index = VectorIndex(kind=IndexKind.FUNCTIONALITY, dimension=4, embedder_id="e",
+                        corpus_digest="d", entries=entries)
+    path = tmp_path / "indexes" / "functionality.jsonl"
+    assert index.save(path) == path
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
