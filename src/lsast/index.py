@@ -3,8 +3,14 @@
 Two index kinds exist: functionality (imperative summaries) and abstraction
 (code patterns). Search is exact brute-force cosine over the whole index;
 at corpus scale (around 10^3 snippets) approximate structures would be
-unjustified complexity. Hits come back in non-increasing similarity with
-ties broken by ascending sequence number.
+unjustified complexity. Hits come back in non-increasing similarity as
+computed. Ascending sequence number breaks a tie only between scores that
+are bitwise equal; for scores that are mathematically equal, the rounding of
+the BLAS kernel that computed them sets the order, so it depends on the
+numpy/BLAS build and on the number of rows in the index. Keep one
+`self._matrix @ query` per query, over the whole matrix: a matrix-matrix
+product over batched queries, or a product over a subset of rows, rounds
+differently and changes which entries are retrieved.
 
 Index files are JSONL: a header line carrying {version, kind, dimension,
 embedder id, corpus digest, entry count}, then one entry per line. In
@@ -13,7 +19,7 @@ the vector's little-endian float64 bytes: the stored bytes are the vector's
 own bits, so loading gives back the exact vector, and rebuilding from the
 same corpus with the deterministic embedder reproduces the file bitwise.
 Version 1 stored the embedding as a JSON float list; `load` still reads it
-and refuses any other version.
+and refuses any other version, and any non-finite embedding.
 """
 
 import base64
@@ -410,6 +416,7 @@ class VectorIndex:
         path = Path(path)
         header = None
         entries = []
+        line_nos = []
         for line_no, record in read_jsonl(path, IndexIntegrityError):
             try:
                 if header is None:
@@ -442,6 +449,7 @@ class VectorIndex:
                     derived_text=record["derived_text"],
                     embedding=embedding,
                 ))
+                line_nos.append(line_no)
             except (KeyError, ValueError, TypeError) as exc:
                 raise IndexIntegrityError(f"{path}:{line_no}: corrupt index file: {exc}") from None
         if header is None:
@@ -451,12 +459,26 @@ class VectorIndex:
                 f"index file {path} declares {declared} entries, found {len(entries)} "
                 "(truncated?)"
             )
-        return cls(**header, entries=entries)
+        index = cls(**header, entries=entries)
+        non_finite = np.flatnonzero(~np.isfinite(index._matrix).all(axis=1))
+        if len(non_finite):
+            raise IndexIntegrityError(
+                f"{path}:{line_nos[non_finite[0]]}: corrupt index file: "
+                "embedding is not finite"
+            )
+        return index
 
     # -- search -----------------------------------------------------------
 
     def search_embedded(self, query: np.ndarray, k: int) -> list[SearchHit]:
-        """Exact top-k by cosine over a unit query vector."""
+        """Exact top-k by cosine over a unit query vector.
+
+        Hits are ordered by descending score, then ascending sequence; the
+        sequence decides only between bitwise-equal scores. Which of two
+        mathematically equal cosines scores higher is up to BLAS rounding,
+        so the one matrix-vector product below must stay one product per
+        query over the whole matrix, or the retrieved ids change.
+        """
         if k < 1:
             raise ValueError("k must be >= 1")
         if not self.entries:

@@ -427,29 +427,62 @@ def _content_digest(payload: dict) -> str:
     return hashlib.sha256(record_essence(payload).encode("utf-8")).hexdigest()
 
 
+# A record line is canonical_json(record) + "\n". "result" sorts last among a
+# record's keys and "timings" last among a result's, so the line is the head's
+# prefix, then the result's essence without its closing brace, then the
+# timings tail: the digested essence is a slice of the line itself.
+_HEAD_KEYS = ("content_digest", "persisted_at", "record_id", "record_version")
+
+
+def _record_prefix(head: dict) -> str:
+    return canonical_json(head)[:-1] + ', "result": '
+
+
+def _timings_tail(timings) -> str:
+    return ', "timings": ' + canonical_json(timings) + "}}\n"
+
+
+def _sliced_digest(text: str, record: dict, payload: dict) -> str | None:
+    """sha256 of the essence as the line's own bytes; None off the layout."""
+    if len(record) != len(_HEAD_KEYS) + 1 or "timings" not in payload:
+        return None
+    try:
+        prefix = _record_prefix({key: record[key] for key in _HEAD_KEYS})
+    except KeyError:
+        return None
+    tail = _timings_tail(payload["timings"])
+    end = len(text) - len(tail)
+    if end <= len(prefix) or not (text.startswith(prefix) and text.endswith(tail)):
+        return None
+    digest = hashlib.sha256(text[len(prefix):end].encode("utf-8"))
+    digest.update(b"}")
+    return digest.hexdigest()
+
+
 def persist_scan(result: ScanResult, out_dir) -> Path:
     """Write one scan result as a self-contained, digest-protected record.
 
     The record id is a prefix of the content digest, which covers everything
     except timings, so identical scans persist under the same id with
     distinct timestamps and filenames. The file is one line of canonical
-    JSON.
+    JSON, assembled around the one dump of the essence the digest covers.
 
     Raises:
         ScanError: out_dir cannot be created or written.
     """
     payload = result.to_dict()
-    content_digest = _content_digest(payload)
-    record = {
-        "record_version": RECORD_VERSION,
-        "record_id": content_digest[:12],
+    essence = record_essence(payload)
+    content_digest = hashlib.sha256(essence.encode("utf-8")).hexdigest()
+    head = {
         "content_digest": content_digest,
         "persisted_at": datetime.now(timezone.utc).isoformat(),
-        "result": payload,
+        "record_id": content_digest[:12],
+        "record_version": RECORD_VERSION,
     }
-    path = Path(out_dir) / f"scan-{record['record_id']}-{time.time_ns()}.json"
+    line = _record_prefix(head) + essence[:-1] + _timings_tail(payload["timings"])
+    path = Path(out_dir) / f"scan-{head['record_id']}-{time.time_ns()}.json"
     with replacing(path, ScanError) as tmp:
-        tmp.write_text(canonical_json(record) + "\n", encoding="utf-8")
+        tmp.write_text(line, encoding="utf-8")
     return path
 
 
@@ -465,15 +498,26 @@ class PersistedScan:
 def load_scan(path) -> PersistedScan:
     """Load and verify one persisted scan record.
 
-    Any JSON layout loads: the digest covers the canonical form, so the
-    indented files of earlier versions verify as they are.
+    A file in the one-line layout `persist_scan` writes is verified by
+    hashing its essence slice as it stands, with no re-dump. Any other JSON
+    layout (the indented files of earlier versions, `json.dumps` copies,
+    extra keys), and any file whose slice does not hash to the digest, is
+    verified by re-dumping the parsed result as canonical JSON.
+
+    The digest detects corruption and edits that leave it as it was; it is
+    not a signature. Both checks decide alike on every file lsast writes and
+    on every edit that does not recompute the digest. They differ only on a
+    file whose essence slice is not canonical yet carries that slice's own
+    sha256, which takes the same effort as forging a canonical record that
+    both accept.
 
     Raises:
         RecordIntegrityError: unreadable, truncated, or digest-mismatched.
     """
     path = Path(path)
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        record = json.loads(text)
     except (OSError, ValueError) as exc:
         raise RecordIntegrityError(f"cannot load scan record {path}: {exc}") from None
     try:
@@ -485,7 +529,7 @@ def load_scan(path) -> PersistedScan:
         raise RecordIntegrityError(f"scan record {path} is missing required fields") from None
     if not isinstance(payload, dict):
         raise RecordIntegrityError(f"scan record {path} result is not an object")
-    if _content_digest(payload) != expected:
+    if _sliced_digest(text, record, payload) != expected and _content_digest(payload) != expected:
         raise RecordIntegrityError(
             f"scan record {path} content digest mismatch (corrupt or tampered)"
         )

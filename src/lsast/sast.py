@@ -36,6 +36,10 @@ def normalize_cwe(value) -> str | None:
     Returns None when no numeric id can be found.
     """
     text = str(value)
+    # all-digit text (isdecimal accepts exactly what `\d` matches) skips the
+    # regexes; leading zeros go first, as `0*` drops them before int()
+    if text.isdecimal():
+        return f"CWE-{int(text.lstrip('0') or '0')}"
     match = _CWE_RE.search(text) or _DIGITS_RE.search(text)
     if match is None:
         return None

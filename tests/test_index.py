@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import threading
@@ -57,6 +58,20 @@ def rewrite_line(path, line_index: int, **fields) -> None:
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[line_index] = canonical_json(dict(json.loads(lines[line_index]), **fields))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_version_1(index, path):
+    """Write `index` as a version-1 file: embeddings as JSON float lists."""
+    header = {"version": 1, "kind": index.kind.value, "dimension": index.dimension,
+              "embedder_id": index.embedder_id, "corpus_digest": index.corpus_digest,
+              "entries": len(index)}
+    lines = [canonical_json(header)] + [
+        canonical_json({"sequence": e.sequence, "derived_text": e.derived_text,
+                        "embedding": [float(x) for x in e.embedding]})
+        for e in index.entries
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 def make_index(vectors, sequences, kind=IndexKind.FUNCTIONALITY,
@@ -377,6 +392,25 @@ class TestBuildAndPersist:
         with pytest.raises(IndexIntegrityError, match=f"{path}:3: corrupt"):
             VectorIndex.load(path)
 
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_embedding_names_the_line(self, corpus, embedder, tmp_path,
+                                                 version, value):
+        index, _ = VectorIndex.build(corpus, IndexKind.FUNCTIONALITY,
+                                     llm=MockGateway(), embedder=embedder)
+        path = tmp_path / "f.jsonl"
+        if version == 1:
+            write_version_1(index, path)
+        else:
+            index.save(path)
+        vector = np.array(index.entries[1].embedding)
+        vector[3] = value
+        bad = dataclasses.replace(index.entries[1], embedding=vector)
+        rewrite_line(path, 2, embedding=(vector.tolist() if version == 1
+                                         else bad.to_record()["embedding"]))
+        with pytest.raises(IndexIntegrityError, match=f"{path}:3: corrupt.*not finite"):
+            VectorIndex.load(path)
+
     def test_unknown_version_refused(self, corpus, embedder, tmp_path):
         index, _ = VectorIndex.build(corpus, IndexKind.FUNCTIONALITY,
                                      llm=MockGateway(), embedder=embedder)
@@ -393,17 +427,7 @@ class TestBuildAndPersist:
     def test_version_1_float_list_file_loads_bitwise(self, corpus, embedder, tmp_path):
         index, _ = VectorIndex.build(corpus, IndexKind.ABSTRACTION,
                                      llm=MockGateway(), embedder=embedder)
-        header = {"version": 1, "kind": index.kind.value, "dimension": index.dimension,
-                  "embedder_id": index.embedder_id, "corpus_digest": index.corpus_digest,
-                  "entries": len(index)}
-        lines = [canonical_json(header)] + [
-            canonical_json({"sequence": e.sequence, "derived_text": e.derived_text,
-                            "embedding": [float(x) for x in e.embedding]})
-            for e in index.entries
-        ]
-        path = tmp_path / "v1.jsonl"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        loaded = VectorIndex.load(path)
+        loaded = VectorIndex.load(write_version_1(index, tmp_path / "v1.jsonl"))
         assert [e.sequence for e in loaded.entries] == [e.sequence for e in index.entries]
         for original, restored in zip(index.entries, loaded.entries):
             assert restored.embedding.tobytes() == original.embedding.tobytes()

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import threading
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from lsast import pipeline
 from lsast.cli import main
 from lsast.errors import ConfigurationError, GatewayError, RecordIntegrityError, ScanError
 from lsast.gateway import MockGateway, PredictedFinding
@@ -523,6 +525,135 @@ class TestRecordSchema:
     def test_round_trip_every_field(self):
         result = pinned_result()
         assert ScanResult.from_dict(result.to_dict()) == result
+
+
+def layout_variants() -> list:
+    """Scan results that exercise every part of the one-line record layout."""
+    base = pinned_result()
+    findings = [
+        Finding(cwe_ids=[str(20 + n), "79"] if n % 3 else [], rule_id=f"rule-{n}",
+                title=f"Befund {n} — “quoted”", description="line\nbreak \\ \"q\"",
+                file_path=f"src/mödul{n % 4}/f{n}.js", line_start=n + 1, line_end=n + 2 + n % 2,
+                severity=(None, "high", "low")[n % 3])
+        for n in range(30)
+    ]
+    return [
+        base,
+        dataclasses.replace(base, timings={"model_s": 1e-07, "retrieval_s": 0.1 + 0.2,
+                                           "scanner_s": 123456.789, "total_s": 2.5e-05}),
+        dataclasses.replace(base, timings={}),
+        dataclasses.replace(base, predicted=[], none_found=True, parse_degraded=False,
+                            raw_response="NONE"),
+        dataclasses.replace(base, predicted=[], parse_degraded=True,
+                            raw_response=" \x00\x1f emoji \U0001f600 \"}}\" , \"timings\": {"),
+        dataclasses.replace(base, scanner_findings=[], included_report_ids=[],
+                            dropped_report_ids=[], predicted=[], raw_response="",
+                            retrieved_report_ids={"functionality": [], "abstraction": []}),
+        dataclasses.replace(base, scanner_findings=findings, mode=RetrievalMode.RAW_LSAST),
+    ]
+
+
+def flip(text: str, anchor: str, offset: int = 0) -> str:
+    """`text` with one character after the first `anchor` changed in kind."""
+    at = text.index(anchor) + len(anchor) + offset
+    old = text[at]
+    new = str((int(old) + 1) % 10) if old.isdigit() else ("b" if old == "a" else "a")
+    return text[:at] + new + text[at + 1:]
+
+
+def redump_verdict(text: str) -> bool:
+    """The check every record passed before the line layout: re-dump, hash."""
+    record = json.loads(text)
+    essence = record_essence(record["result"])
+    return hashlib.sha256(essence.encode("utf-8")).hexdigest() == record["content_digest"]
+
+
+class TestRecordLayout:
+    """The record line is the head prefix, the essence and the timings tail."""
+
+    @pytest.mark.parametrize("result", layout_variants())
+    def test_one_dump_line_is_the_canonical_record(self, result, tmp_path):
+        path = persist_scan(result, tmp_path / "scans")
+        data = path.read_bytes()
+        record = json.loads(data)
+        assert data == (canonical_json(record) + "\n").encode("utf-8")
+        assert record["content_digest"] == hashlib.sha256(
+            record_essence(result.to_dict()).encode("utf-8")).hexdigest()
+        assert load_scan(path).result == result
+
+    def test_layout_preconditions(self, tmp_path):
+        names = sorted(f.name for f in dataclasses.fields(ScanResult))
+        assert names[-1] == "timings", (
+            f"ScanResult field {names[-1]!r} sorts after 'timings'; the record line "
+            "layout in pipeline.persist_scan no longer equals the canonical record"
+        )
+        record = json.loads(persist_scan(pinned_result(), tmp_path).read_text(encoding="utf-8"))
+        assert sorted(record)[-1] == "result", (
+            f"record key {sorted(record)[-1]!r} sorts after 'result'; the record line "
+            "layout in pipeline.persist_scan no longer equals the canonical record"
+        )
+
+    TAMPERS = {
+        # name: (edit of the canonical line, loads?)
+        "head content_digest byte": (lambda t: flip(t, '"content_digest": "', 5), False),
+        "head persisted_at byte": (lambda t: flip(t, '"persisted_at": "', 3), True),
+        "head record_id byte": (lambda t: flip(t, '"record_id": "', 0), True),
+        "essence byte": (lambda t: flip(t, '"prompt_digest": "', 7), False),
+        "essence raw_response byte": (lambda t: flip(t, '"raw_response": "', 0), False),
+        "timings byte": (lambda t: flip(t, '"model_s": 0.', 1), True),
+        "essence space after a comma": (
+            lambda t: t.replace('"k": 2, ', '"k": 2,  ', 1), True),
+        "added top-level key before result": (
+            lambda t: canonical_json({**json.loads(t), "extra": 1}) + "\n", True),
+        "added top-level key after result": (
+            lambda t: canonical_json({**json.loads(t), "zzz": 1}) + "\n", True),
+        "missing trailing newline": (lambda t: t[:-1], True),
+        "indented copy": (lambda t: canonical_json(json.loads(t), indent=2) + "\n", True),
+        "indented copy, essence byte": (
+            lambda t: flip(canonical_json(json.loads(t), indent=2), '"raw_response": "', 0), False),
+        "ascii-escaped json.dumps copy": (lambda t: json.dumps(json.loads(t)), True),
+        "unsorted json.dumps copy, essence byte": (
+            lambda t: json.dumps(json.loads(flip(t, '"raw_response": "', 0))), False),
+    }
+
+    @pytest.mark.parametrize("name", list(TAMPERS))
+    def test_tamper_matrix_decides_as_the_redump_check(self, name, tmp_path):
+        edit, loads = self.TAMPERS[name]
+        path = persist_scan(pinned_result(), tmp_path / "scans")
+        text = edit(path.read_text(encoding="utf-8"))
+        assert text != path.read_text(encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
+        assert redump_verdict(text) is loads
+        if loads:
+            assert load_scan(path).content_digest == json.loads(text)["content_digest"]
+        else:
+            with pytest.raises(RecordIntegrityError, match="digest mismatch"):
+                load_scan(path)
+
+    def test_canonical_record_verifies_without_a_redump(self, tmp_path, monkeypatch):
+        calls = []
+        real = pipeline._content_digest
+        monkeypatch.setattr(pipeline, "_content_digest",
+                            lambda payload: calls.append(1) or real(payload))
+        path = persist_scan(pinned_result(), tmp_path / "scans")
+        assert calls == []
+        load_scan(path)
+        assert calls == []
+        indented = tmp_path / "scan-indented.json"
+        indented.write_text(canonical_json(json.loads(path.read_text(encoding="utf-8")),
+                                           indent=2) + "\n", encoding="utf-8")
+        load_scan(indented)
+        assert calls == [1]
+
+    def test_persist_dumps_each_part_once(self, tmp_path, monkeypatch):
+        dumped = []
+        real = pipeline.canonical_json
+        monkeypatch.setattr(pipeline, "canonical_json",
+                            lambda data: dumped.append(real(data)) or dumped[-1])
+        path = persist_scan(pinned_result(), tmp_path / "scans")
+        # the essence, the head and the timings; never the whole record again
+        assert len(dumped) == 3
+        assert sum(map(len, dumped)) < len(path.read_text(encoding="utf-8"))
 
 
 def finding_in(path, line=1):

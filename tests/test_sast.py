@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from lsast.errors import ScannerExecutionError, ScannerReportError, ScannerTimeoutError
 from pathlib import PurePosixPath, PureWindowsPath
 
+from lsast import sast
 from lsast.sast import (
     Finding,
     FindingIndex,
@@ -42,6 +44,25 @@ class TestNormalizeCwe:
         assert normalize_cwe("not a cwe") is None
         assert normalize_cwe("") is None
         assert normalize_cwe(None) is None
+
+    @staticmethod
+    def regex_only(value):
+        """normalize_cwe as it was before its all-digits shortcut."""
+        text = str(value)
+        match = sast._CWE_RE.search(text) or sast._DIGITS_RE.search(text)
+        return None if match is None else f"CWE-{int(match.group(1))}"
+
+    @pytest.mark.parametrize("value", [
+        "0", "007", "000", "79", "\u0667\u0669", "\u0660\u0660\u0667", "\u0667" + "9",
+        "", "-5", "79a", "CWE-079", " 79", "\u00b2", True, False, 0, 79, -5,
+        "0" * 5000 + "7",
+    ])
+    def test_digit_shortcut_agrees_with_the_regexes(self, value):
+        assert normalize_cwe(value) == self.regex_only(value)
+
+    def test_isdecimal_is_exactly_what_backslash_d_matches(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\d", every) == [c for c in every if c.isdecimal()]
 
 
 class TestParseScannerReport:
