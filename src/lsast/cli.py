@@ -148,11 +148,7 @@ def cmd_index(args, config: Config) -> int:
         )
     gateway = make_gateway(config)
     embedder = make_embedder(config)
-    kinds = (
-        [IndexKind.FUNCTIONALITY, IndexKind.ABSTRACTION]
-        if args.kind == "both"
-        else [IndexKind(args.kind)]
-    )
+    kinds = list(IndexKind) if args.kind == "both" else [IndexKind(args.kind)]
     for kind in kinds:
         index, summary = VectorIndex.build(corpus, kind, llm=gateway, embedder=embedder)
         path = index.save(_index_path(config, kind))
@@ -202,10 +198,10 @@ def _print_result_text(result):
     if result.scanner_findings:
         print(f"   scanner findings: {len(result.scanner_findings)}")
     retrieved = result.retrieved_report_ids
-    for source in ("functionality", "abstraction"):
-        ids = retrieved.get(source, [])
+    for kind in IndexKind:
+        ids = retrieved.get(kind.value, [])
         if ids:
-            print(f"   {source} retrieval: reports {ids}")
+            print(f"   {kind.value} retrieval: reports {ids}")
     if result.dropped_report_ids:
         print(f"   dropped for prompt budget: reports {result.dropped_report_ids}")
     if result.none_found:
@@ -221,23 +217,17 @@ def cmd_scan(args, config: Config) -> int:
     gateway = make_gateway(config)
     scanner = _make_scanner(args, config)
 
-    corpus = None
-    functionality_index = None
-    abstraction_index = None
-    embedder = None
-    if mode.uses_functionality or mode.uses_abstraction:
+    corpus = embedder = None
+    if mode.index_kinds:
         corpus = _existing_corpus(config)
         embedder = make_embedder(config)
-        if mode.uses_functionality:
-            functionality_index = VectorIndex.load(_index_path(config, IndexKind.FUNCTIONALITY))
-        if mode.uses_abstraction:
-            abstraction_index = VectorIndex.load(_index_path(config, IndexKind.ABSTRACTION))
+    indexes = {kind: VectorIndex.load(_index_path(config, kind)) for kind in mode.index_kinds}
 
     context = ScanContext(
         gateway=gateway,
         corpus=corpus,
-        functionality_index=functionality_index,
-        abstraction_index=abstraction_index,
+        functionality_index=indexes.get(IndexKind.FUNCTIONALITY),
+        abstraction_index=indexes.get(IndexKind.ABSTRACTION),
         embedder=embedder,
         scanner=scanner,
         attach_scanner_findings=scanner is not None,
@@ -431,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.set_defaults(handler=cmd_ingest)
 
     p_index = sub.add_parser("index", help="build the vector indexes from the corpus")
-    p_index.add_argument("--kind", choices=("functionality", "abstraction", "both"),
+    p_index.add_argument("--kind", choices=(*(kind.value for kind in IndexKind), "both"),
                          default="both", help="which index to build (default both)")
     p_index.set_defaults(handler=cmd_index)
 

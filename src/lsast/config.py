@@ -134,18 +134,12 @@ def load_config(path=None, env=None) -> Config:
                 )
             if key not in _FIELDS:
                 raise ConfigurationError(f"unknown config key {key!r} in {path}")
-            values[key] = _coerce(key, value, _field_type(key))
+            values[key] = _coerce(key, value, _FIELDS[key].type)
 
     for name in _FIELDS:
         env_name = ENV_PREFIX + name.upper()
         if env_name in env:
-            values[name] = _coerce(name, env[env_name], _field_type(name))
+            values[name] = _coerce(name, env[env_name], _FIELDS[name].type)
 
     return _validate(Config(**values))
 
-
-def _field_type(name: str):
-    type_hint = _FIELDS[name].type
-    if isinstance(type_hint, str):
-        return {"str": str, "int": int, "float": float}[type_hint]
-    return type_hint

@@ -17,6 +17,7 @@ from enum import Enum
 
 from .errors import EvaluationError
 from .gateway import PredictedFinding
+from .index import IndexKind
 from .jsonio import append_jsonl, read_jsonl
 from .sast import Finding, normalize_cwe
 
@@ -299,8 +300,8 @@ def evaluate_retrieval(results, corpus) -> tuple[MetricsReport, ConfusionCounts,
                     truth_cwes.add(normalized)
         retrieved_ids = []
         seen = set()
-        for source in ("functionality", "abstraction"):
-            for report_id in result.retrieved_report_ids.get(source, []):
+        for kind in IndexKind:
+            for report_id in result.retrieved_report_ids.get(kind.value, []):
                 if report_id not in seen:
                     seen.add(report_id)
                     retrieved_ids.append(report_id)

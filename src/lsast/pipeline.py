@@ -37,7 +37,7 @@ from .errors import (
     SearchError,
 )
 from .gateway import PredictedFinding, parse_scan_response
-from .index import DEFAULT_K, DerivationCache, correlate
+from .index import DEFAULT_K, DerivationCache, IndexKind, correlate
 from .jsonio import canonical_json, replacing
 from .prompts import DEFAULT_PROMPT_CHAR_BUDGET, TEMPLATE_VERSION, build_scan_prompt
 from .sast import Finding, FindingIndex, filter_findings_for_file, format_findings
@@ -65,22 +65,18 @@ class RetrievalMode(Enum):
         return self.value.endswith("_lsast")
 
     @property
+    def index_kinds(self) -> tuple[IndexKind, ...]:
+        """The indexes this mode retrieves from, in IndexKind order."""
+        base = self.value.removesuffix("_lsast")
+        return tuple(kind for kind in IndexKind if base in (kind.value, "combined"))
+
+    @property
     def uses_functionality(self) -> bool:
-        return self in (
-            RetrievalMode.FUNCTIONALITY,
-            RetrievalMode.FUNCTIONALITY_LSAST,
-            RetrievalMode.COMBINED,
-            RetrievalMode.COMBINED_LSAST,
-        )
+        return IndexKind.FUNCTIONALITY in self.index_kinds
 
     @property
     def uses_abstraction(self) -> bool:
-        return self in (
-            RetrievalMode.ABSTRACTION,
-            RetrievalMode.ABSTRACTION_LSAST,
-            RetrievalMode.COMBINED,
-            RetrievalMode.COMBINED_LSAST,
-        )
+        return IndexKind.ABSTRACTION in self.index_kinds
 
     @classmethod
     def parse(cls, name: str) -> "RetrievalMode":
@@ -120,6 +116,13 @@ class ScanContext:
     # never pairs a list with another list's index
     _findings_index: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
+    def index_for(self, kind: IndexKind):
+        return getattr(self, f"{kind.value}_index")
+
+
+def _no_retrievals() -> dict:
+    return {kind.value: [] for kind in IndexKind}
+
 
 @dataclass
 class ScanResult:
@@ -129,7 +132,7 @@ class ScanResult:
     mode: RetrievalMode
     k: int
     scanner_findings: list[Finding] = field(default_factory=list)
-    retrieved_report_ids: dict = field(default_factory=lambda: {"functionality": [], "abstraction": []})
+    retrieved_report_ids: dict = field(default_factory=_no_retrievals)
     included_report_ids: list[int] = field(default_factory=list)
     dropped_report_ids: list[int] = field(default_factory=list)
     predicted: list[PredictedFinding] = field(default_factory=list)
@@ -178,41 +181,38 @@ def _validate_dependencies(mode: RetrievalMode, context: ScanContext):
         raise ConfigurationError("no chat gateway configured")
     if mode.uses_scanner and context.scanner is None:
         raise ConfigurationError(f"mode {mode.value} needs scanner output, none configured")
-    needs_retrieval = mode.uses_functionality or mode.uses_abstraction
-    if needs_retrieval:
-        if context.corpus is None:
-            raise ConfigurationError(f"mode {mode.value} needs the report corpus")
-        if context.embedder is None:
-            raise ConfigurationError(f"mode {mode.value} needs an embedder")
-        corpus_digest = context.corpus.digest()
-        for label, used, index in (
-            ("functionality", mode.uses_functionality, context.functionality_index),
-            ("abstraction", mode.uses_abstraction, context.abstraction_index),
-        ):
-            if not used:
-                continue
-            if index is None:
-                raise ConfigurationError(
-                    f"mode {mode.value} needs the {label} index, none configured"
-                )
-            if index.corpus_digest != corpus_digest:
-                raise ConfigurationError(
-                    f"{label} index was built against a different corpus state; rebuild it"
-                )
+    if not mode.index_kinds:
+        return
+    if context.corpus is None:
+        raise ConfigurationError(f"mode {mode.value} needs the report corpus")
+    if context.embedder is None:
+        raise ConfigurationError(f"mode {mode.value} needs an embedder")
+    corpus_digest = context.corpus.digest()
+    for kind in mode.index_kinds:
+        index = context.index_for(kind)
+        if index is None:
+            raise ConfigurationError(
+                f"mode {mode.value} needs the {kind.value} index, none configured"
+            )
+        if index.corpus_digest != corpus_digest:
+            raise ConfigurationError(
+                f"{kind.value} index was built against a different corpus state; rebuild it"
+            )
 
 
-def _merge_retrievals(func_pairs, abs_pairs) -> list:
-    """Merge per-source (report, similarity) lists into one prompt order.
+def _merge_retrievals(*pair_lists) -> list:
+    """Merge per-index (report, similarity) lists into one prompt order.
 
-    Sorted by descending similarity; at equal similarity functionality hits
-    precede abstraction hits; report ids deduplicate first-wins.
+    Sorted by descending similarity; at equal similarity an earlier list's
+    hits precede a later list's (functionality before abstraction), then
+    rank within a list; report ids deduplicate first-wins.
     """
-    candidates = []
-    for rank, (report, sim) in enumerate(func_pairs):
-        candidates.append((-sim, 0, rank, report))
-    for rank, (report, sim) in enumerate(abs_pairs):
-        candidates.append((-sim, 1, rank, report))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+    candidates = [
+        (-sim, position, rank, report)
+        for position, pairs in enumerate(pair_lists)
+        for rank, (report, sim) in enumerate(pairs)
+    ]
+    candidates.sort(key=lambda c: c[:3])
     merged = []
     seen: set[int] = set()
     for _, _, _, report in candidates:
@@ -272,34 +272,28 @@ def run_scan(target, mode: RetrievalMode, k: int = DEFAULT_K,
         # recorded for later evaluation; never enters the prompt
         scanner_findings = _scanner_findings_for(context, target)
 
-    retrieved_ids = {"functionality": [], "abstraction": []}
-    func_pairs: list = []
-    abs_pairs: list = []
-    if mode.uses_functionality or mode.uses_abstraction:
+    retrieved_ids = _no_retrievals()
+    pair_lists = []
+    if mode.index_kinds:
         t0 = time.monotonic()
         try:
-            if mode.uses_functionality:
-                hits = context.functionality_index.search(
+            for kind in mode.index_kinds:
+                hits = context.index_for(kind).search(
                     source, k, context.gateway, context.embedder, context.cache
                 )
-                func_pairs = correlate(hits, context.corpus)
-                retrieved_ids["functionality"] = [r.id for r, _ in func_pairs]
-            if mode.uses_abstraction:
-                hits = context.abstraction_index.search(
-                    source, k, context.gateway, context.embedder, context.cache
-                )
-                abs_pairs = correlate(hits, context.corpus)
-                retrieved_ids["abstraction"] = [r.id for r, _ in abs_pairs]
+                pairs = correlate(hits, context.corpus)
+                retrieved_ids[kind.value] = [r.id for r, _ in pairs]
+                pair_lists.append(pairs)
         except (GatewayError, DerivationError, SearchError) as exc:
             raise ScanError(
                 f"retrieval failed for {target} in mode {mode.value}: {exc}"
             ) from exc
         timings["retrieval_s"] = round(time.monotonic() - t0, 6)
-    merged = _merge_retrievals(func_pairs, abs_pairs)
+    merged = _merge_retrievals(*pair_lists)
 
     built = build_scan_prompt(
         annotated,
-        sast=formatted if mode.uses_scanner else None,
+        sast=formatted,
         reports=merged or None,
         char_budget=context.char_budget,
     )
@@ -370,26 +364,22 @@ def run_scan_batch(targets, mode: RetrievalMode, k: int = DEFAULT_K,
     expanded = expand_targets(targets)
     if not expanded:
         return []
-    results: list = [None] * len(expanded)
 
-    def scan_one(index_target):
-        index, target = index_target
+    def scan_one(target):
         try:
-            return index, run_scan(target, mode, k, context)
+            return run_scan(target, mode, k, context)
         except LsastError as exc:
             logger.warning("scan failed for %s: %s", target, exc)
-            return index, ScanFailure(
+            return ScanFailure(
                 target_path=str(target), error=str(exc), error_type=type(exc).__name__
             )
 
     workers = max(1, parallelism)
     if workers == 1:
-        outcomes = map(scan_one, enumerate(expanded))
+        results = list(map(scan_one, expanded))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(scan_one, enumerate(expanded)))
-    for index, outcome in outcomes:
-        results[index] = outcome
+            results = list(pool.map(scan_one, expanded))
 
     if all(isinstance(r, ScanFailure) for r in results):
         first = results[0]
@@ -512,7 +502,8 @@ def load_scan(path) -> PersistedScan:
     both accept.
 
     Raises:
-        RecordIntegrityError: unreadable, truncated, or digest-mismatched.
+        RecordIntegrityError: unreadable, truncated, digest-mismatched, or a
+            record id that is not the content digest's first 12 digits.
     """
     path = Path(path)
     try:
@@ -532,6 +523,10 @@ def load_scan(path) -> PersistedScan:
     if _sliced_digest(text, record, payload) != expected and _content_digest(payload) != expected:
         raise RecordIntegrityError(
             f"scan record {path} content digest mismatch (corrupt or tampered)"
+        )
+    if record_id != expected[:12]:
+        raise RecordIntegrityError(
+            f"scan record {path} record id {record_id!r} is not its content digest's prefix"
         )
     try:
         result = ScanResult.from_dict(payload)

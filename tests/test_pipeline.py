@@ -5,6 +5,7 @@ import json
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -71,20 +72,22 @@ class TestModeParsing:
         assert "combined_lsast" in str(exc.value)
 
     def test_membership_algebra(self):
+        F, A = IndexKind.FUNCTIONALITY, IndexKind.ABSTRACTION
         expected = {
-            RetrievalMode.RAW: (False, False, False),
-            RetrievalMode.RAW_LSAST: (True, False, False),
-            RetrievalMode.FUNCTIONALITY: (False, True, False),
-            RetrievalMode.FUNCTIONALITY_LSAST: (True, True, False),
-            RetrievalMode.ABSTRACTION: (False, False, True),
-            RetrievalMode.ABSTRACTION_LSAST: (True, False, True),
-            RetrievalMode.COMBINED: (False, True, True),
-            RetrievalMode.COMBINED_LSAST: (True, True, True),
+            RetrievalMode.RAW: (False, False, False, ()),
+            RetrievalMode.RAW_LSAST: (True, False, False, ()),
+            RetrievalMode.FUNCTIONALITY: (False, True, False, (F,)),
+            RetrievalMode.FUNCTIONALITY_LSAST: (True, True, False, (F,)),
+            RetrievalMode.ABSTRACTION: (False, False, True, (A,)),
+            RetrievalMode.ABSTRACTION_LSAST: (True, False, True, (A,)),
+            RetrievalMode.COMBINED: (False, True, True, (F, A)),
+            RetrievalMode.COMBINED_LSAST: (True, True, True, (F, A)),
         }
-        for mode, (scanner, functionality, abstraction) in expected.items():
+        for mode, (scanner, functionality, abstraction, kinds) in expected.items():
             assert mode.uses_scanner is scanner
             assert mode.uses_functionality is functionality
             assert mode.uses_abstraction is abstraction
+            assert mode.index_kinds == kinds
 
 
 class TestValidation:
@@ -169,6 +172,15 @@ class TestRunScan:
         assert result.retrieved_report_ids["functionality"] == [1]
         assert result.retrieved_report_ids["abstraction"] == [1]
         assert result.included_report_ids == [1]
+
+    def test_merge_orders_by_similarity_then_index(self):
+        report = {i: SimpleNamespace(id=i) for i in range(1, 6)}
+        functionality = [(report[1], 0.9), (report[2], 0.5), (report[3], 0.4)]
+        abstraction = [(report[4], 0.9), (report[3], 0.8), (report[5], 0.5)]
+        merged = pipeline._merge_retrievals(functionality, abstraction)
+        # descending similarity; a tie puts the functionality hit first;
+        # report 3, found by both, appears once at its best place (0.8)
+        assert [r.id for r in merged] == [1, 4, 3, 2, 5]
 
     def test_retrieved_reports_enter_prompt(self, js_target, context):
         run_scan(js_target, RetrievalMode.FUNCTIONALITY, k=3, context=context)
@@ -268,8 +280,11 @@ class TestBatch:
             path = tmp_path / name
             path.write_text(f"var tag = '{name}'\n")
             files.append(path)
-        results = run_scan_batch(files, RetrievalMode.RAW, context=context)
-        assert [r.target_path for r in results] == [str(p) for p in files]
+        # the sequential branch and the thread pool
+        for parallelism in (1, 4):
+            results = run_scan_batch(files, RetrievalMode.RAW, context=context,
+                                     parallelism=parallelism)
+            assert [r.target_path for r in results] == [str(p) for p in files]
 
     def test_failures_inline(self, tmp_path, context):
         good = tmp_path / "good.js"
@@ -594,10 +609,11 @@ class TestRecordLayout:
         )
 
     TAMPERS = {
-        # name: (edit of the canonical line, loads?)
+        # name: (edit of the canonical line, True if it loads, else the refusal)
         "head content_digest byte": (lambda t: flip(t, '"content_digest": "', 5), False),
         "head persisted_at byte": (lambda t: flip(t, '"persisted_at": "', 3), True),
-        "head record_id byte": (lambda t: flip(t, '"record_id": "', 0), True),
+        # the digest still matches; the id it no longer prefixes is refused
+        "head record_id byte": (lambda t: flip(t, '"record_id": "', 0), "record id"),
         "essence byte": (lambda t: flip(t, '"prompt_digest": "', 7), False),
         "essence raw_response byte": (lambda t: flip(t, '"raw_response": "', 0), False),
         "timings byte": (lambda t: flip(t, '"model_s": 0.', 1), True),
@@ -623,11 +639,11 @@ class TestRecordLayout:
         text = edit(path.read_text(encoding="utf-8"))
         assert text != path.read_text(encoding="utf-8")
         path.write_text(text, encoding="utf-8")
-        assert redump_verdict(text) is loads
-        if loads:
+        assert redump_verdict(text) is (loads is not False)
+        if loads is True:
             assert load_scan(path).content_digest == json.loads(text)["content_digest"]
         else:
-            with pytest.raises(RecordIntegrityError, match="digest mismatch"):
+            with pytest.raises(RecordIntegrityError, match=loads or "digest mismatch"):
                 load_scan(path)
 
     def test_canonical_record_verifies_without_a_redump(self, tmp_path, monkeypatch):
