@@ -26,7 +26,7 @@ from pathlib import Path
 import requests
 
 from .errors import CorpusError, ReportNotFoundError, RemoteFetchError
-from .index import abstract_code
+from .index import abstract_code, map_outcomes
 from .jsonio import append_jsonl, canonical_json, read_jsonl, replacing
 from .sast import normalize_cwe
 from .transport import send
@@ -396,14 +396,29 @@ class ReportCorpus:
         """Extract snippets for every report and assign sequence numbers.
 
         Deterministic for a given corpus state and gateway: reports in stored
-        order, snippets by ordinal, sequences starting at 1.
+        order, snippets by ordinal, sequences starting at 1. Fenced blocks
+        are read on the calling thread; the reports without any go to the
+        model up to SETUP_WORKERS at a time (see `map_outcomes`).
+
+        Raises:
+            GatewayError / DerivationError: a model extraction failed; the
+                first failing report in stored order names the error, and
+                the previous catalog is kept.
         """
+        reports = list(self._reports.values())
+        found = [extract_code_snippets(report) for report in reports]
+        if llm is not None:
+            asking = [i for i, snippets in enumerate(found) if not snippets]
+            outcomes = map_outcomes(lambda i: extract_code_snippets(reports[i], llm=llm), asking)
+            for i, (snippets, error) in zip(asking, outcomes):
+                if error is not None:
+                    raise error
+                found[i] = snippets
         sequences: dict[int, CodeSnippet] = {}
         counter = 0
         llm_extracted = 0
         without_code = 0
-        for report in self._reports.values():
-            snippets = extract_code_snippets(report, llm=llm)
+        for snippets in found:
             if not snippets:
                 without_code += 1
                 continue

@@ -27,6 +27,8 @@ import dataclasses
 import hashlib
 import logging
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -57,6 +59,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_K = 3
 DEFAULT_DIMENSION = 256
+# model calls in flight at once while the index build and the snippet catalog
+# derive; independent of `parallelism`, which counts concurrent scans
+SETUP_WORKERS = 4
 
 
 class IndexKind(Enum):
@@ -93,12 +98,61 @@ def abstract_code(code: str, llm) -> str | None:
     return parse_code_pattern(response)
 
 
+def map_outcomes(fn, items: list) -> list[tuple[object, Exception | None]]:
+    """Run `fn` over `items` on up to SETUP_WORKERS threads; outcomes in input order.
+
+    Each outcome is `(fn(item), None)`, or `(None, error)` when `fn` raised
+    an LsastError or ValueError. Each worker pulls the next position from
+    one shared iterator, so a slow call holds up only its own worker. A call
+    that spent most of its wall time on its own thread's CPU held the GIL
+    rather than waited, so overlapping it gains nothing and costs GIL
+    hand-offs: after such a call its worker retires, down to the last one.
+    Any other exception stops the workers from taking new items and is
+    raised here once every worker has finished.
+    """
+    outcomes: list = [None] * len(items)
+    positions = iter(range(len(items)))
+    lock = threading.Lock()
+    stop = threading.Event()
+    workers = min(SETUP_WORKERS, len(items))
+    active = workers
+
+    def work():
+        nonlocal active
+        while not stop.is_set():
+            with lock:
+                position = next(positions, None)
+            if position is None:
+                return
+            wall, cpu = time.perf_counter(), time.thread_time()
+            try:
+                outcomes[position] = (fn(items[position]), None)
+            except (LsastError, ValueError) as exc:
+                outcomes[position] = (None, exc)
+            except BaseException:
+                stop.set()
+                raise
+            if time.thread_time() - cpu > 0.5 * (time.perf_counter() - wall):
+                with lock:
+                    if active > 1:
+                        active -= 1
+                        return
+
+    with ThreadPoolExecutor(max_workers=SETUP_WORKERS) as pool:
+        futures = [pool.submit(work) for _ in range(workers)]
+    for future in futures:
+        future.result()
+    return outcomes
+
+
 class DerivationCache:
     """Per-process cache keyed by (content digest, derivation kind).
 
-    Single flight: concurrent callers of one key wait for one derivation. A
-    failure is not cached; a caller that waited on a failed derivation
-    derives the key itself.
+    Single flight: concurrent callers of one key wait for one derivation. The
+    index build derives each distinct text once, so this serves the scans of
+    a batch, whose duplicate targets ask for one key at once. A failure is
+    not cached; a caller that waited on a failed derivation derives the key
+    itself.
     """
 
     def __init__(self):
@@ -331,37 +385,52 @@ class VectorIndex:
               cache: DerivationCache | None = None) -> tuple["VectorIndex", BuildSummary]:
         """Derive and embed every cataloged snippet of `corpus`.
 
+        Each distinct snippet text is derived once, up to SETUP_WORKERS at a
+        time (see `map_outcomes`); a text whose derivation fails fails every
+        sequence that shares it. Entries are then embedded and assembled in
+        sequence order, so the index equals that of a sequential build.
         Abstraction entries are skipped (not failed) when the derivation
         answers "no code" or a blank pattern. Per-snippet failures are
         recorded and the build continues; a failure rate above 50% marks the
         build degraded.
 
         Raises:
-            CorpusError: the snippet catalog is stale for this corpus.
+            CorpusError: the corpus has no snippet catalog, or its catalog is
+                stale for this corpus.
         """
         corpus_digest = corpus.digest()
         catalog_digest = corpus.catalog_corpus_digest
-        if catalog_digest is not None and catalog_digest != corpus_digest:
+        if catalog_digest is None:
+            raise CorpusError(
+                f"corpus at {corpus.directory} has no snippet catalog; build it by "
+                "running `lsast ingest` without --no-catalog"
+            )
+        if catalog_digest != corpus_digest:
             raise CorpusError(
                 "snippet catalog was built against a different corpus state; rebuild it"
             )
         cache = cache or DerivationCache()
+        snippets = corpus.snippets()
+        texts = list(dict.fromkeys(snippet.text for _, snippet in snippets))
+        outcomes = map_outcomes(lambda text: cache.derive(kind, text, llm), texts)
+        derivations = dict(zip(texts, outcomes))
         entries: list[IndexEntry] = []
         failures: list[str] = []
         skipped = 0
-        attempted = 0
-        for sequence, snippet in corpus.snippets():
-            attempted += 1
-            try:
-                derived = cache.derive(kind, snippet.text, llm)
-                if derived is None:
-                    skipped += 1
-                    continue
-                embedding = embedder.embed(derived)
-            except (LsastError, ValueError) as exc:
-                failures.append(f"sequence {sequence}: {exc}")
-                continue
-            entries.append(IndexEntry(sequence, kind, derived, embedding))
+        attempted = len(snippets)
+        for sequence, snippet in snippets:
+            derived, error = derivations[snippet.text]
+            if error is None and derived is not None:
+                try:
+                    embedding = embedder.embed(derived)
+                except (LsastError, ValueError) as exc:
+                    error = exc
+            if error is not None:
+                failures.append(f"sequence {sequence}: {error}")
+            elif derived is None:
+                skipped += 1
+            else:
+                entries.append(IndexEntry(sequence, kind, derived, embedding))
         degraded = attempted > 0 and len(failures) / attempted > 0.5
         if degraded:
             logger.warning(

@@ -9,6 +9,8 @@ file it reads goes through `read_jsonl`, so a bad line is reported as
 """
 
 import json
+import os
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -22,14 +24,16 @@ def canonical_json(data, indent: int | None = None) -> str:
 def replacing(path, error):
     """Yield a temp path beside `path`; it replaces `path` only on success.
 
-    The parent directory is created first. The temp file is removed however
-    the block ends.
+    The temp name carries the process and thread id, so two writers of one
+    path never share a temp file; it ends in ".tmp", which no reader's
+    pattern matches. The parent directory is created first. The temp file is
+    removed however the block ends.
 
     Raises:
         error: the directory, the temp file or the replace failed.
     """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:

@@ -133,6 +133,16 @@ class TestExitCodes:
         assert run(workspace, "index") == 1
         assert "run ingest first" in capsys.readouterr().err
 
+    def test_index_without_catalog_fails(self, workspace, capsys):
+        assert run(workspace, "ingest", "--reports", workspace["reports"],
+                   "--no-catalog") == 0
+        capsys.readouterr()
+        assert run(workspace, "index") == 1
+        err = capsys.readouterr().err
+        assert "no snippet catalog" in err
+        assert str(Path(workspace["config"]).parent / "corpus") in err
+        assert not workspace["index_dir"].exists()
+
     def test_ingest_needs_a_source(self, workspace, capsys):
         assert run(workspace, "ingest") == 1
         capsys.readouterr()

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,10 +14,13 @@ from lsast.errors import (
     DerivationError,
     EmbedderMismatchError,
     IndexIntegrityError,
+    LsastError,
     SearchError,
 )
 from lsast.gateway import MockGateway
 from lsast.index import (
+    SETUP_WORKERS,
+    BuildSummary,
     DerivationCache,
     IndexEntry,
     IndexKind,
@@ -23,6 +28,7 @@ from lsast.index import (
     VectorIndex,
     abstract_code,
     correlate,
+    map_outcomes,
     summarize_functionality,
 )
 from lsast.jsonio import canonical_json
@@ -472,6 +478,234 @@ class TestBuildAndPersist:
         with pytest.raises(IndexIntegrityError):
             VectorIndex(kind=IndexKind.FUNCTIONALITY, dimension=8,
                         embedder_id="e", corpus_digest="d", entries=entries)
+
+
+def cataloged_corpus(directory, bodies) -> ReportCorpus:
+    """A corpus of one report per body, with its snippet catalog built."""
+    corpus = ReportCorpus(directory)
+    corpus.ingest_records([
+        {"id": report_id, "title": f"report {report_id}", "cwe-id": "CWE-79",
+         "vulnerability_information": body}
+        for report_id, body in enumerate(bodies, 1)
+    ])
+    corpus.build_snippet_catalog(llm=MockGateway())
+    return corpus
+
+
+def fenced(*blocks) -> str:
+    return "".join(f"```\n{block}\n```\n" for block in blocks)
+
+
+# sequences 1-8 hold duplicates (2 of "var a = 1;", "echo $x;", "FAILS(1);"),
+# a "no code" answer for abstraction at 5, and failures at 4 and 7
+SCRIPTED_BODIES = [
+    fenced("var a = 1;", "echo $x;"),
+    fenced("var a = 1;", "FAILS(1);"),
+    fenced("NOCODE", "echo $x;"),
+    fenced("FAILS(1);", "exec(cmd);"),
+    *(fenced(f"var b{i} = {i};") for i in range(8)),
+]
+
+
+class ScriptedGateway(MockGateway):
+    """Fails every derivation of code holding FAILS; finds no code in NOCODE."""
+
+    def complete(self, prompt):
+        response = super().complete(prompt)
+        if "FAILS" in prompt:
+            raise DerivationError("model refused the snippet")
+        if "NOCODE" in prompt and "Code-Pattern:[xxxx]" in prompt:
+            return "Code-Pattern:[no code]"
+        return response
+
+
+def sequential_build(corpus, kind, llm, embedder):
+    """Reference: derive and embed each sequence in turn through one cache."""
+    cache = DerivationCache()
+    entries, failures, skipped = [], [], 0
+    snippets = corpus.snippets()
+    for sequence, snippet in snippets:
+        try:
+            derived = cache.derive(kind, snippet.text, llm)
+            if derived is None:
+                skipped += 1
+                continue
+            embedding = embedder.embed(derived)
+        except (LsastError, ValueError) as exc:
+            failures.append(f"sequence {sequence}: {exc}")
+            continue
+        entries.append(IndexEntry(sequence, kind, derived, embedding))
+    index = VectorIndex(kind, embedder.dimension, embedder.identity, corpus.digest(), entries)
+    summary = BuildSummary(len(entries), skipped, failures,
+                           degraded=len(failures) / len(snippets) > 0.5)
+    return index, summary
+
+
+class OverlapGateway(MockGateway):
+    """Holds each call until a second call is in flight, or a wait times out.
+
+    Records the peak number of calls in flight at once. After one timed-out
+    wait no call waits again, so a sequential caller costs one timeout.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.changed = threading.Condition()
+        self.active = self.peak = 0
+        self.timed_out = False
+
+    def complete(self, prompt):
+        with self.changed:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            self.changed.notify_all()
+            if not self.changed.wait_for(lambda: self.peak > 1 or self.timed_out, timeout=5):
+                self.timed_out = True
+        try:
+            return super().complete(prompt)
+        finally:
+            with self.changed:
+                self.active -= 1
+
+
+class CrashingGateway(MockGateway):
+    """Raises a programming error, not a domain error, for code holding CRASH."""
+
+    def complete(self, prompt):
+        if "CRASH" in prompt:
+            raise RuntimeError("gateway bug")
+        return super().complete(prompt)
+
+
+class TestSetupPool:
+    @pytest.mark.parametrize("kind", list(IndexKind))
+    def test_pooled_build_equals_sequential_reference(self, tmp_path, kind):
+        """The file and summary match a sequential build bitwise.
+
+        One behaviour differs: a text whose derivation fails is derived once
+        and fails every sequence that shares it; the sequential reference
+        retries it for each duplicate.
+        """
+        corpus = cataloged_corpus(tmp_path / "corpus", SCRIPTED_BODIES)
+        embedder = OfflineEmbedder()
+        gateway, reference_gateway = ScriptedGateway(), ScriptedGateway()
+        index, summary = VectorIndex.build(corpus, kind, llm=gateway, embedder=embedder)
+        reference, expected = sequential_build(corpus, kind, reference_gateway, embedder)
+        pooled_bytes = index.save(tmp_path / "pooled.jsonl").read_bytes()
+        assert pooled_bytes == reference.save(tmp_path / "reference.jsonl").read_bytes()
+        assert summary == expected
+        assert [f.split(":")[0] for f in summary.failures] == ["sequence 4", "sequence 7"]
+        assert summary.skipped == (1 if kind is IndexKind.ABSTRACTION else 0)
+        distinct = len({snippet.text for _, snippet in corpus.snippets()})
+        assert gateway.call_count == distinct
+        assert reference_gateway.call_count == distinct + 1
+
+    def test_build_overlaps_within_the_bound(self, tmp_path, embedder):
+        bodies = [fenced(f"var c{i} = {i};") for i in range(3 * SETUP_WORKERS)]
+        corpus = cataloged_corpus(tmp_path / "corpus", bodies + bodies[:3])
+        gateway = OverlapGateway()
+        index, summary = VectorIndex.build(corpus, IndexKind.FUNCTIONALITY,
+                                           llm=gateway, embedder=embedder)
+        assert summary.entries == len(bodies) + 3 and not summary.failures
+        assert not gateway.timed_out
+        assert 1 < gateway.peak <= SETUP_WORKERS
+        assert gateway.call_count == len(bodies)
+
+    def test_catalog_overlaps_within_the_bound(self, tmp_path):
+        corpus = ReportCorpus(tmp_path / "corpus")
+        corpus.ingest_records([
+            {"id": i, "title": "t", "cwe-id": "CWE-94",
+             "vulnerability_information": f"the handler passes input_{i} to eval"}
+            for i in range(1, 3 * SETUP_WORKERS + 1)
+        ])
+        gateway = OverlapGateway()
+        summary = corpus.build_snippet_catalog(llm=gateway)
+        assert summary.llm_extracted == 3 * SETUP_WORKERS
+        assert not gateway.timed_out
+        assert 1 < gateway.peak <= SETUP_WORKERS
+        assert gateway.call_count == 3 * SETUP_WORKERS
+
+    def test_every_item_runs_once_under_fast_switching(self):
+        calls = []
+
+        def record(item):
+            calls.append(item)
+            time.sleep(0.0001)  # a waiting call keeps every worker pulling
+            if item % 7 == 0:
+                raise ValueError(f"item {item}")
+            return item * item
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = map_outcomes(record, list(range(3000)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == list(range(3000))
+        for item, (value, error) in enumerate(outcomes):
+            if item % 7 == 0:
+                assert value is None and str(error) == f"item {item}"
+            else:
+                assert (value, error) == (item * item, None)
+
+    def test_workers_retire_when_calls_hold_the_gil(self):
+        threads = []
+
+        def compute(item):
+            threads.append(threading.get_ident())
+            return sum(range(2000 + item))
+
+        outcomes = map_outcomes(compute, list(range(600)))
+        assert [value for value, _ in outcomes] == [sum(range(2000 + i)) for i in range(600)]
+        assert len(set(threads[-100:])) == 1
+
+    def test_unexpected_error_propagates_from_build(self, tmp_path, embedder):
+        bodies = [fenced(f"var d{i} = {i};") for i in range(6)]
+        corpus = cataloged_corpus(tmp_path / "corpus", [*bodies, fenced("CRASH();")])
+        for kind in IndexKind:
+            with pytest.raises(RuntimeError, match="gateway bug"):
+                VectorIndex.build(corpus, kind, llm=CrashingGateway(), embedder=embedder)
+
+    def test_unexpected_error_propagates_from_catalog(self, tmp_path):
+        corpus = cataloged_corpus(tmp_path / "corpus", [fenced("var e = 1;")])
+        before = corpus.snippets()
+        corpus.ingest_records([
+            {"id": 2, "title": "t", "cwe-id": "CWE-94",
+             "vulnerability_information": "CRASH reaches eval unchecked"},
+        ])
+        with pytest.raises(RuntimeError, match="gateway bug"):
+            corpus.build_snippet_catalog(llm=CrashingGateway())
+        assert ReportCorpus(corpus.directory).snippets() == before
+
+    def test_catalog_raises_the_first_failing_report_in_report_order(self, tmp_path):
+        changed = threading.Condition()
+        later_failed = []
+
+        class LateFirstFailure(MockGateway):
+            """The earlier report fails only after the later one has failed."""
+
+            def complete(self, prompt):
+                if "later failure" in prompt:
+                    with changed:
+                        later_failed.append(True)
+                        changed.notify_all()
+                    raise DerivationError("later report failed")
+                if "earlier failure" in prompt:
+                    with changed:
+                        changed.wait_for(lambda: later_failed, timeout=5)
+                    raise DerivationError("earlier report failed")
+                return super().complete(prompt)
+
+        corpus = ReportCorpus(tmp_path / "corpus")
+        # only the two reports without fenced code ask the model
+        bodies = [fenced("ok a"), "earlier failure", fenced("ok b"), "later failure"]
+        corpus.ingest_records([
+            {"id": i, "title": "t", "cwe-id": "CWE-94", "vulnerability_information": body}
+            for i, body in enumerate(bodies, 1)
+        ])
+        with pytest.raises(DerivationError, match="earlier report failed"):
+            corpus.build_snippet_catalog(llm=LateFirstFailure())
+        assert later_failed
 
 
 class TestTextSearch:

@@ -14,7 +14,7 @@ from lsast.cli import main
 from lsast.errors import ConfigurationError, GatewayError, RecordIntegrityError, ScanError
 from lsast.gateway import MockGateway, PredictedFinding
 from lsast.index import DerivationCache, IndexKind, OfflineEmbedder, VectorIndex
-from lsast.jsonio import canonical_json
+from lsast.jsonio import canonical_json, replacing
 from lsast.pipeline import (
     RetrievalMode,
     ScanContext,
@@ -407,6 +407,13 @@ class TestPersistence:
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(RecordIntegrityError):
             load_scan_directory(tmp_path / "nowhere")
+
+    def test_directory_load_skips_a_record_being_written(self, js_target, context, tmp_path):
+        out = tmp_path / "scans"
+        persist_scan(run_scan(js_target, RetrievalMode.RAW, context=context), out)
+        with replacing(out / "scan-0123456789ab-1.json", ScanError) as tmp:
+            tmp.write_text('{"record_version": 1, "res', encoding="utf-8")
+            assert len(load_scan_directory(out)) == 1
 
     def test_interrupted_write_leaves_no_record(self, js_target, context, tmp_path,
                                                 monkeypatch):
