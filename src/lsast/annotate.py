@@ -58,7 +58,7 @@ def annotate_lines(source: str, line_budget: int = DEFAULT_LINE_BUDGET) -> Annot
     if not normalized:
         return AnnotatedSource(text="", line_count=0)
     lines = normalized.split("\n")
-    if line_budget is not None and len(lines) > line_budget:
+    if len(lines) > line_budget:
         raise AnnotationError(
             f"source has {len(lines)} lines, exceeding the line budget of {line_budget}"
         )

@@ -268,19 +268,6 @@ def _group_scans_by_mode(scans) -> list[tuple[str, list]]:
     return [(name, groups[name]) for name in MODE_NAMES if name in groups]
 
 
-def _matching_counts(scans, truth_index, line_tolerance: int) -> ConfusionCounts:
-    counts = ConfusionCounts()
-    for scan in scans:
-        result = scan.result
-        if truth_index is not None:
-            truth = filter_findings_for_file(truth_index, result.target_path)
-        else:
-            truth = truth_from_findings(result.scanner_findings)
-        matching = match_findings(result.predicted, truth, line_tolerance)
-        counts = counts + confusion_from_matching(matching)
-    return counts
-
-
 def cmd_eval(args, config: Config) -> int:
     if args.truth_file and (args.retrieval or args.truth == "labels"):
         raise ConfigurationError("--truth-file applies only to the default scanner regime")
@@ -297,55 +284,58 @@ def cmd_eval(args, config: Config) -> int:
         _print_warnings([f"{len(scans) - len(unique)} duplicate records counted once"])
     scans = list(unique.values())
 
+    warnings: list[str] = []
     if args.retrieval:
         # records that retrieved nothing (non-retrieval modes) need no corpus
         retrieved = any(ids for scan in scans for ids in scan.result.retrieved_report_ids.values())
         corpus = _existing_corpus(config) if retrieved else None
-        rows = []
-        all_warnings = []
-        for name, group in _group_scans_by_mode(scans):
-            metrics, counts, warnings = evaluate_retrieval([s.result for s in group], corpus)
-            rows.append((name, metrics, counts))
-            all_warnings.extend(warnings)
-        _print_warnings(all_warnings)
+
+        def count(group) -> ConfusionCounts:
+            _, counts, group_warnings = evaluate_retrieval([s.result for s in group], corpus)
+            warnings.extend(group_warnings)
+            return counts
     elif args.truth == "labels":
         if not args.labels:
             raise ConfigurationError("--truth labels needs --labels FILE")
         labels = load_labels(args.labels)
-        full_map = {scan.record_id: scan.result for scan in scans}
+        records = {scan.record_id: scan.result for scan in scans}
         for label in labels:
-            validate_label(label, full_map)
-        rows = []
-        for name, group in _group_scans_by_mode(scans):
+            validate_label(label, records)
+
+        def count(group) -> ConfusionCounts:
             group_ids = {scan.record_id for scan in group}
-            group_labels = [l for l in labels if l.record_id in group_ids]
-            counts = confusion_from_labels(
-                group_labels, {scan.record_id: scan.result for scan in group}
-            )
-            rows.append((name, compute_metrics(counts), counts))
+            group_labels = [label for label in labels if label.record_id in group_ids]
+            return confusion_from_labels(group_labels, group_ids)
     else:
         truth_index = FindingIndex(load_ground_truth(args.truth_file)) if args.truth_file else None
-        rows = []
-        for name, group in _group_scans_by_mode(scans):
-            counts = _matching_counts(group, truth_index, args.line_tolerance)
-            rows.append((name, compute_metrics(counts), counts))
+
+        def count(group) -> ConfusionCounts:
+            counts = ConfusionCounts()
+            for result in (scan.result for scan in group):
+                if truth_index is not None:
+                    truth = filter_findings_for_file(truth_index, result.target_path)
+                else:
+                    truth = truth_from_findings(result.scanner_findings)
+                matching = match_findings(result.predicted, truth, args.line_tolerance)
+                counts = counts + confusion_from_matching(matching)
+            return counts
+
+    rows = []
+    for name, group in _group_scans_by_mode(scans):
+        counts = count(group)
+        rows.append((name, compute_metrics(counts), counts))
+    _print_warnings(warnings)
 
     if args.format == "json":
         payload = {
             "columns": [
                 {
                     "name": name,
-                    "counts": {"tp": c.tp, "fp": c.fp, "fn": c.fn, "tn": c.tn},
-                    "metrics": {
-                        "tp_rate": metrics.tp_rate,
-                        "fp_rate": metrics.fp_rate,
-                        "accuracy": metrics.accuracy,
-                        "precision": metrics.precision,
-                        "f1": metrics.f1,
-                    },
-                    "flags": list(metrics.flags),
+                    "counts": vars(counts),
+                    "metrics": metrics.values(),
+                    "flags": metrics.flags,
                 }
-                for name, metrics, c in rows
+                for name, metrics, counts in rows
             ]
         }
         print(canonical_json(payload, indent=2))

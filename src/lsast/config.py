@@ -55,28 +55,16 @@ def _coerce(name: str, raw, target_type):
         if isinstance(raw, str):
             return raw
         raise ConfigurationError(f"{name} must be a string, got {type(raw).__name__}")
-    if target_type is int:
+    if target_type in (int, float):
+        noun = "an integer" if target_type is int else "a number"
         if isinstance(raw, bool):
-            raise ConfigurationError(f"{name} must be an integer")
-        if isinstance(raw, int):
-            return raw
-        if isinstance(raw, str):
+            raise ConfigurationError(f"{name} must be {noun}")
+        if isinstance(raw, (target_type, int, str)):  # an int field refuses floats
             try:
-                return int(raw)
+                return target_type(raw)
             except ValueError:
-                raise ConfigurationError(f"{name} must be an integer, got {raw!r}") from None
-        raise ConfigurationError(f"{name} must be an integer, got {type(raw).__name__}")
-    if target_type is float:
-        if isinstance(raw, bool):
-            raise ConfigurationError(f"{name} must be a number")
-        if isinstance(raw, (int, float)):
-            return float(raw)
-        if isinstance(raw, str):
-            try:
-                return float(raw)
-            except ValueError:
-                raise ConfigurationError(f"{name} must be a number, got {raw!r}") from None
-        raise ConfigurationError(f"{name} must be a number, got {type(raw).__name__}")
+                raise ConfigurationError(f"{name} must be {noun}, got {raw!r}") from None
+        raise ConfigurationError(f"{name} must be {noun}, got {type(raw).__name__}")
     raise ConfigurationError(f"{name} has unsupported type")
 
 

@@ -23,7 +23,14 @@ from .sast import Finding, normalize_cwe
 
 logger = logging.getLogger(__name__)
 
-METRIC_COLUMNS = ("TP-Rate", "FP-Rate", "Accuracy", "Precision", "F1-Score")
+# The five measures in table order, as (MetricsReport field, table title).
+METRICS = (
+    ("tp_rate", "TP-Rate"),
+    ("fp_rate", "FP-Rate"),
+    ("accuracy", "Accuracy"),
+    ("precision", "Precision"),
+    ("f1", "F1-Score"),
+)
 
 
 class Verdict(Enum):
@@ -100,6 +107,10 @@ class MetricsReport:
     precision: float
     f1: float
     flags: list[str] = field(default_factory=list)
+
+    def values(self) -> dict[str, float]:
+        """The five measures by field name, in METRICS order."""
+        return {name: getattr(self, name) for name, _ in METRICS}
 
 
 @dataclass
@@ -228,28 +239,22 @@ def compute_metrics(counts: ConfusionCounts) -> MetricsReport:
 
     Every ratio with a zero denominator is defined as 0 and flagged.
     """
-    flags: list[str] = []
-
-    def ratio(numerator, denominator, name):
-        if denominator == 0:
-            flags.append(f"{name} denominator is zero; defined as 0")
-            return 0.0
-        return numerator / denominator
+    def ratio(numerator, denominator):
+        return numerator / denominator if denominator else None
 
     tp, fp, fn, tn = counts.tp, counts.fp, counts.fn, counts.tn
-    tp_rate = ratio(tp, tp + fn, "tp_rate")
-    fp_rate = ratio(fp, fp + tn, "fp_rate")
-    precision = ratio(tp, tp + fp, "precision")
-    accuracy = ratio(tp + tn, tp + fp + fn + tn, "accuracy")
-    f1 = ratio(2 * precision * tp_rate, precision + tp_rate, "f1")
-    return MetricsReport(
+    tp_rate, precision = ratio(tp, tp + fn), ratio(tp, tp + fp)
+    ratios = dict(  # in the order their flags are listed
         tp_rate=tp_rate,
-        fp_rate=fp_rate,
-        accuracy=accuracy,
+        fp_rate=ratio(fp, fp + tn),
         precision=precision,
-        f1=f1,
-        flags=flags,
+        accuracy=ratio(tp + tn, tp + fp + fn + tn),
+        # precision + tp_rate is positive exactly when tp is
+        f1=ratio(2 * precision * tp_rate, precision + tp_rate) if tp else None,
     )
+    flags = [f"{name} denominator is zero; defined as 0"
+             for name, value in ratios.items() if value is None]
+    return MetricsReport(**{name: value or 0.0 for name, value in ratios.items()}, flags=flags)
 
 
 def format_percent(value: float) -> str:
@@ -292,19 +297,12 @@ def evaluate_retrieval(results, corpus) -> tuple[MetricsReport, ConfusionCounts,
     warnings: list[str] = []
     counts = ConfusionCounts()
     for result in results:
-        truth_cwes = set()
-        for finding in result.scanner_findings:
-            for cwe in finding.cwe_ids:
-                normalized = normalize_cwe(cwe)
-                if normalized is not None:
-                    truth_cwes.add(normalized)
-        retrieved_ids = []
-        seen = set()
-        for kind in IndexKind:
-            for report_id in result.retrieved_report_ids.get(kind.value, []):
-                if report_id not in seen:
-                    seen.add(report_id)
-                    retrieved_ids.append(report_id)
+        truth_cwes = {item.cwe_id for item in truth_from_findings(result.scanner_findings)}
+        retrieved_ids = dict.fromkeys(
+            report_id
+            for kind in IndexKind
+            for report_id in result.retrieved_report_ids.get(kind.value, [])
+        )
         covered = set()
         for report_id in retrieved_ids:
             report = corpus.get_report(report_id)
@@ -337,24 +335,17 @@ def render_metrics_table(rows) -> str:
 
     def cells_for(report: MetricsReport) -> list[str]:
         flagged = {flag.split(" ", 1)[0] for flag in report.flags}
-        values = [
-            ("tp_rate", report.tp_rate),
-            ("fp_rate", report.fp_rate),
-            ("accuracy", report.accuracy),
-            ("precision", report.precision),
-            ("f1", report.f1),
-        ]
         return [
             format_percent(value) + ("*" if key in flagged else "")
-            for key, value in values
+            for key, value in report.values().items()
         ]
 
     names = [name for name, _ in rows]
     columns = [cells_for(report) for _, report in rows]
     header = ["Measure", *names]
     table_rows = [
-        [METRIC_COLUMNS[i], *(column[i] for column in columns)]
-        for i in range(len(METRIC_COLUMNS))
+        [title, *(column[i] for column in columns)]
+        for i, (_, title) in enumerate(METRICS)
     ]
     widths = [
         max(len(line[i]) for line in [header, *table_rows])
@@ -376,11 +367,24 @@ def render_metrics_table(rows) -> str:
 
 # -- file formats -------------------------------------------------------------
 
+def _integer(value, key: str) -> int:
+    """A JSON integer or an integer string; booleans and fractions are refused."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 def load_ground_truth(path) -> list[GroundTruthItem]:
     """Read ground-truth items from a JSONL file.
 
     Record shape: {"file": <path>, "cwe": <id>, "line_start": <n>,
-    "line_end": <n>} (line_end defaults to line_start).
+    "line_end": <n>} (line_end defaults to line_start). Lines are integers
+    with 1 <= line_start <= line_end.
 
     Raises:
         EvaluationError: unreadable file or malformed record.
@@ -391,8 +395,10 @@ def load_ground_truth(path) -> list[GroundTruthItem]:
             cwe = normalize_cwe(record["cwe"])
             if cwe is None:
                 raise ValueError(f"unparseable cwe {record['cwe']!r}")
-            start = int(record["line_start"])
-            end = int(record.get("line_end", start))
+            start = _integer(record["line_start"], "line_start")
+            end = _integer(record.get("line_end", start), "line_end")
+            if not 1 <= start <= end:
+                raise ValueError(f"line span {start}..{end} is not 1 <= line_start <= line_end")
             items.append(GroundTruthItem(
                 file_path=str(record["file"]),
                 cwe_id=cwe,
@@ -419,7 +425,7 @@ def load_labels(path) -> list[EvalLabel]:
         try:
             labels.append(EvalLabel(
                 record_id=str(record["record"]),
-                finding_index=int(record["finding"]),
+                finding_index=_integer(record["finding"], "finding"),
                 verdict=Verdict.parse(record["verdict"]),
                 note=str(record.get("note", "")),
             ))

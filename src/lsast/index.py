@@ -381,8 +381,7 @@ class VectorIndex:
     # -- build ------------------------------------------------------------
 
     @classmethod
-    def build(cls, corpus, kind: IndexKind, llm, embedder,
-              cache: DerivationCache | None = None) -> tuple["VectorIndex", BuildSummary]:
+    def build(cls, corpus, kind: IndexKind, llm, embedder) -> tuple["VectorIndex", BuildSummary]:
         """Derive and embed every cataloged snippet of `corpus`.
 
         Each distinct snippet text is derived once, up to SETUP_WORKERS at a
@@ -409,7 +408,7 @@ class VectorIndex:
             raise CorpusError(
                 "snippet catalog was built against a different corpus state; rebuild it"
             )
-        cache = cache or DerivationCache()
+        cache = DerivationCache()
         snippets = corpus.snippets()
         texts = list(dict.fromkeys(snippet.text for _, snippet in snippets))
         outcomes = map_outcomes(lambda text: cache.derive(kind, text, llm), texts)

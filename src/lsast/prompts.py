@@ -170,7 +170,7 @@ def build_scan_prompt(annotated, sast: list[FormattedFinding] | None = None,
     dropped: list[int] = []
     while True:
         text = _assemble(template, annotated.text, bearer_result, blocks)
-        if char_budget is None or len(text) <= char_budget:
+        if len(text) <= char_budget:
             break
         if not kept:
             raise PromptBudgetError(

@@ -394,3 +394,89 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "environment-only" in err
         assert "sk-nope" not in err
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "eval"
+EVAL_REGIMES = {
+    "scanner": [],
+    "tolerance": ["--line-tolerance", "2"],
+    "truth_file": ["--truth-file", "{truth}"],
+    "labels": ["--truth", "labels", "--labels", "{labels}"],
+    "retrieval": ["--retrieval"],
+}
+
+
+class TestEvalGolden:
+    """`lsast eval` output, byte for byte, for every regime and format.
+
+    Each file under tests/golden/eval holds the stdout, a separator line and
+    the stderr of one run over the record set built below: four records over
+    three modes plus one re-run duplicate, a column whose five ratios all
+    have zero denominators, a label override and a duplicate verdict, and a
+    retrieved report without a cwe-id.
+    """
+
+    @pytest.fixture
+    def records(self, workspace, report_dicts, tmp_path, capsys):
+        from lsast.gateway import PredictedFinding
+        from lsast.pipeline import RetrievalMode, ScanResult, persist_scan
+        from lsast.sast import Finding
+
+        reports = tmp_path / "golden-reports.json"
+        reports.write_text(json.dumps([*report_dicts, {"id": 4, "title": "no weakness"}]))
+        assert run(workspace, "ingest", "--reports", str(reports), "--no-catalog") == 0
+
+        def finding(cwe, start, end):
+            return Finding(cwe_ids=[cwe], rule_id=f"r{cwe}", title="t", description="d",
+                           file_path="app/a.js", line_start=start, line_end=end)
+
+        def predicted(cwe, line):
+            return PredictedFinding(cwe_id=cwe, reason="r", line_start=line, line_end=line,
+                                    code_snippet="x")
+
+        scans = [
+            ScanResult(target_path="app/a.js", mode=RetrievalMode.RAW_LSAST, k=3,
+                       scanner_findings=[finding("89", 3, 4), finding("79", 7, 7)],
+                       predicted=[predicted("CWE-89", 4), predicted("CWE-79", 9),
+                                  predicted("CWE-22", 12)]),
+            ScanResult(target_path="app/b.js", mode=RetrievalMode.COMBINED_LSAST, k=3,
+                       scanner_findings=[finding("79", 2, 2)],
+                       retrieved_report_ids={"functionality": [2, 1], "abstraction": [2, 4]},
+                       predicted=[predicted("CWE-79", 2)]),
+            ScanResult(target_path="app/c.js", mode=RetrievalMode.COMBINED_LSAST, k=3,
+                       none_found=True),
+            ScanResult(target_path="app/d.js", mode=RetrievalMode.RAW, k=3, none_found=True),
+        ]
+        ids = [json.loads(persist_scan(scan, workspace["scan_dir"]).read_text())["record_id"]
+               for scan in scans]
+        persist_scan(scans[0], workspace["scan_dir"])  # a re-run of the first scan
+
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text("".join(json.dumps(item) + "\n" for item in (
+            {"file": "a.js", "cwe": "89", "line_start": 3, "line_end": 5},
+            {"file": "app/b.js", "cwe": "CWE-79", "line_start": 2},
+            {"file": "c.js", "cwe": "22", "line_start": 4},
+        )))
+        a, b, c, _ = ids
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text("".join(json.dumps(item) + "\n" for item in (
+            {"record": a, "finding": 0, "verdict": "tp"},
+            {"record": a, "finding": 1, "verdict": "tp"},
+            {"record": a, "finding": 1, "verdict": "fp"},
+            {"record": a, "finding": 2, "verdict": "fp"},
+            {"record": a, "finding": 2, "verdict": "dup"},
+            {"record": a, "finding": -1, "verdict": "fn"},
+            {"record": b, "finding": 0, "verdict": "true_positive"},
+            {"record": c, "finding": -1, "verdict": "fn"},
+        )))
+        capsys.readouterr()
+        return {"truth": str(truth), "labels": str(labels)}
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("regime", list(EVAL_REGIMES))
+    def test_output_pinned(self, workspace, records, capsys, regime, fmt):
+        argv = [arg.format(**records) for arg in EVAL_REGIMES[regime]]
+        assert run(workspace, "eval", *argv, "--format", fmt) == 0
+        captured = capsys.readouterr()
+        expected = (GOLDEN / f"{regime}-{fmt}.txt").read_text(encoding="utf-8")
+        assert captured.out + "--- stderr ---\n" + captured.err == expected

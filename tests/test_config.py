@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lsast.config import Config, load_config
+from lsast.config import Config, _coerce, load_config
 from lsast.errors import ConfigurationError
 
 
@@ -117,6 +117,43 @@ class TestCoercion:
         path = write_config(tmp_path, {"chat_model": 5})
         with pytest.raises(ConfigurationError):
             load_config(path)
+
+    @pytest.mark.parametrize("target, raw, expected", [
+        (int, 5, 5), (int, -2, -2), (int, "5", 5), (int, " 7 ", 7), (int, "1_000", 1000),
+        (int, "\u0663", 3), (int, "-0", 0),
+        (float, 1, 1.0), (float, 0.25, 0.25), (float, "0.25", 0.25), (float, "1e3", 1000.0),
+        (float, "nan", float("nan")), (float, "-inf", float("-inf")), (float, "1_0.5", 10.5),
+        (float, 10**20, 1e20), (str, "s", "s"), (str, "", ""),
+    ])
+    def test_coerced_values(self, target, raw, expected):
+        # repr tells 1 from 1.0 and compares nan with itself
+        assert repr(_coerce("k", raw, target)) == repr(expected)
+
+    @pytest.mark.parametrize("target, raw, message", [
+        (int, True, "k must be an integer"),
+        (int, False, "k must be an integer"),
+        (int, 1.5, "k must be an integer, got float"),
+        (int, 2.0, "k must be an integer, got float"),
+        (int, "1.5", "k must be an integer, got '1.5'"),
+        (int, "three", "k must be an integer, got 'three'"),
+        (int, "", "k must be an integer, got ''"),
+        (int, None, "k must be an integer, got NoneType"),
+        (int, [1], "k must be an integer, got list"),
+        (int, {"a": 1}, "k must be an integer, got dict"),
+        (float, True, "k must be a number"),
+        (float, "x", "k must be a number, got 'x'"),
+        (float, "", "k must be a number, got ''"),
+        (float, None, "k must be a number, got NoneType"),
+        (float, [0.5], "k must be a number, got list"),
+        (str, 5, "k must be a string, got int"),
+        (str, None, "k must be a string, got NoneType"),
+        (bool, True, "k has unsupported type"),
+        (list, [], "k has unsupported type"),
+    ])
+    def test_coercion_errors(self, target, raw, message):
+        with pytest.raises(ConfigurationError) as exc:
+            _coerce("k", raw, target)
+        assert str(exc.value) == message
 
 
 class TestValidation:

@@ -369,6 +369,45 @@ class TestFileFormats:
             load_ground_truth(path)
         assert "1" in str(exc.value)
 
+    @pytest.mark.parametrize("fields", [
+        {"line_start": 4.7},
+        {"line_start": True},
+        {"line_start": "4.0"},
+        {"line_start": None},
+        {"line_start": 3, "line_end": 5.5},
+        {"line_start": 0},
+        {"line_start": -2, "line_end": 4},
+        {"line_start": 9, "line_end": 3},
+    ])
+    def test_ground_truth_bad_numbers_rejected(self, tmp_path, fields):
+        path = tmp_path / "truth.jsonl"
+        good = {"file": "a.js", "cwe": "79", "line_start": 3}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **fields}) + "\n")
+        with pytest.raises(EvaluationError) as exc:
+            load_ground_truth(path)
+        assert f"{path}:2: bad ground-truth record" in str(exc.value)
+
+    def test_ground_truth_integer_strings_accepted(self, tmp_path):
+        path = tmp_path / "truth.jsonl"
+        path.write_text(json.dumps({"file": "a.js", "cwe": "79", "line_start": "4",
+                                    "line_end": " 6"}) + "\n")
+        assert load_ground_truth(path) == [GroundTruthItem("a.js", "CWE-79", 4, 6)]
+
+    @pytest.mark.parametrize("finding", [1.5, 1.0, True, False, "1.5", "one", None, [1]],
+                             ids=repr)
+    def test_labels_bad_finding_rejected(self, tmp_path, finding):
+        path = tmp_path / "labels.jsonl"
+        path.write_text(json.dumps({"record": "r", "finding": finding, "verdict": "tp"}) + "\n")
+        with pytest.raises(EvaluationError) as exc:
+            load_labels(path)
+        assert f"{path}:1: bad label record" in str(exc.value)
+
+    def test_labels_integer_strings_accepted(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text(json.dumps({"record": "r", "finding": "2", "verdict": "tp"}) + "\n"
+                        + json.dumps({"record": "r", "finding": "-1", "verdict": "fn"}) + "\n")
+        assert [label.finding_index for label in load_labels(path)] == [2, -1]
+
     def test_labels_round_trip(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         label = EvalLabel("rec-1", 2, Verdict.DUPLICATE, note="same as scanner")

@@ -9,15 +9,18 @@ smoke run (python -m pytest perfbench).
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import lsast.cli
 import lsast.pipeline
 from lsast.annotate import annotate_lines
-from lsast.gateway import MockGateway, parse_scan_response
+from lsast.gateway import MockGateway, PredictedFinding, parse_scan_response
 from lsast.index import IndexEntry, IndexKind, VectorIndex
+from lsast.pipeline import RetrievalMode, ScanResult, persist_scan
 from lsast.prompts import (
     ABSTRACTION_PROMPT,
     FUNCTIONALITY_PROMPT,
@@ -48,6 +51,35 @@ def test_scan_probes_install_and_unpatch():
         tracer.unpatch()
     assert lsast.pipeline.run_scan is run_scan
     assert lsast.cli.load_scan_directory is load_scan_directory
+
+
+@pytest.mark.parametrize("regime, spans", [
+    ([], {"pipeline.load_records", "evaluation.match", "evaluation.metrics"}),
+    (["--truth", "labels"], {"pipeline.load_records", "evaluation.labels", "evaluation.metrics"}),
+    (["--retrieval"], {"pipeline.load_records", "evaluation.retrieval"}),
+], ids=["scanner", "labels", "retrieval"])
+def test_eval_probes_record_their_spans(tmp_path, capsys, regime, spans):
+    # perfbench/run.py reports each evaluation.* layer from these spans; an
+    # eval that stops calling a probed name would read 0 there, not fail
+    finding = Finding(cwe_ids=["79"], rule_id="r", title="t", description="d",
+                      file_path="a.js", line_start=2, line_end=2)
+    result = ScanResult(target_path="a.js", mode=RetrievalMode.RAW_LSAST, k=3,
+                        scanner_findings=[finding],
+                        predicted=[PredictedFinding("CWE-79", "r", 2, 2, "x")])
+    record_id = json.loads(persist_scan(result, tmp_path / "scans").read_text())["record_id"]
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text(json.dumps({"record": record_id, "finding": 0, "verdict": "tp"}) + "\n")
+
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    tracing.install_scan_probes(tracer, MockGateway, {})
+    try:
+        assert lsast.cli.main(["eval", "--records", str(tmp_path / "scans"),
+                               "--labels", str(labels), *regime]) == 0
+    finally:
+        tracer.unpatch()
+    capsys.readouterr()
+    assert spans <= {span[1] for span in tracer.spans}
 
 
 def test_bench_gateway_keeps_the_complete_contract():
