@@ -67,9 +67,8 @@ from .index import (
     OfflineEmbedder,
     SearchHit,
     VectorIndex,
-    abstract_code,
     correlate,
-    summarize_functionality,
+    derive,
 )
 from .pipeline import (
     PersistedScan,

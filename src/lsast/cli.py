@@ -367,8 +367,6 @@ def cmd_label(args, config: Config) -> int:
         if verdict is not Verdict.FALSE_NEGATIVE:
             raise ConfigurationError("--finding is required for this verdict")
         finding_index = -1
-    if verdict is Verdict.FALSE_NEGATIVE and finding_index != -1:
-        raise ConfigurationError("false_negative labels use finding index -1")
 
     label = EvalLabel(
         record_id=args.record,

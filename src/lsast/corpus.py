@@ -26,7 +26,7 @@ from pathlib import Path
 import requests
 
 from .errors import CorpusError, ReportNotFoundError, RemoteFetchError
-from .index import abstract_code, map_outcomes
+from .index import IndexKind, derive, map_outcomes
 from .jsonio import append_jsonl, canonical_json, read_jsonl, replacing
 from .sast import normalize_cwe
 from .transport import send
@@ -202,7 +202,7 @@ def extract_code_snippets(report: VulnerabilityReport, llm=None) -> list[CodeSni
         ]
     if llm is None or not body.strip():
         return []
-    pattern = abstract_code(body, llm)
+    pattern = derive(IndexKind.ABSTRACTION, body, llm)
     if pattern is None:
         return []
     return [CodeSnippet(report.id, 0, pattern, ExtractionMethod.LLM_EXTRACTED)]

@@ -190,13 +190,16 @@ def validate_label(label: EvalLabel, records):
 
     `records` maps record id to ScanResult, or is a set of known ids, which
     checks the record id only. false_negative labels reference no finding,
-    so their index is not checked.
+    so their index must be -1.
 
     Raises:
-        EvaluationError: unknown record, or out-of-range finding index.
+        EvaluationError: unknown record, out-of-range finding index, or a
+            false_negative label whose index is not -1.
     """
     if label.record_id not in records:
         raise EvaluationError(f"no scan record {label.record_id!r}")
+    if label.verdict is Verdict.FALSE_NEGATIVE and label.finding_index != -1:
+        raise EvaluationError("false_negative labels use finding index -1")
     if hasattr(records, "keys") and label.verdict is not Verdict.FALSE_NEGATIVE:
         findings = len(records[label.record_id].predicted)
         if not 0 <= label.finding_index < findings:
@@ -212,16 +215,19 @@ def confusion_from_labels(labels: list[EvalLabel], records) -> ConfusionCounts:
     `records` is as for validate_label, which every label must pass.
     duplicate verdicts are excluded from every count. A later label for the
     same (record, finding index) overrides an earlier one, so an append-only
-    labels file stays correctable.
+    labels file stays correctable. A false_negative label is keyed by
+    (record, -1, note): each distinct note counts as its own miss, and an
+    identical label appended again counts once.
 
     Raises:
         EvaluationError: a label references an unknown record or an
             out-of-range finding index.
     """
-    effective: dict[tuple[str, int], EvalLabel] = {}
+    effective: dict[tuple, EvalLabel] = {}
     for label in labels:
         validate_label(label, records)
-        effective[(label.record_id, label.finding_index)] = label
+        note = label.note if label.verdict is Verdict.FALSE_NEGATIVE else None
+        effective[(label.record_id, label.finding_index, note)] = label
     counts = ConfusionCounts()
     for label in effective.values():
         if label.verdict is Verdict.TRUE_POSITIVE:

@@ -59,6 +59,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_K = 3
 DEFAULT_DIMENSION = 256
+NGRAM = 3  # OfflineEmbedder's gram length, part of its identity
 # model calls in flight at once while the index build and the snippet catalog
 # derive; independent of `parallelism`, which counts concurrent scans
 SETUP_WORKERS = 4
@@ -69,33 +70,27 @@ class IndexKind(Enum):
     ABSTRACTION = "abstraction"
 
 
-def summarize_functionality(code: str, llm) -> str:
-    """Ask the gateway for the imperative functionality summary of `code`.
+def derive(kind: IndexKind, code: str, llm) -> str | None:
+    """The `kind` derivation of `code`, from one model call.
+
+    Functionality is the imperative summary; abstraction is the code
+    pattern, where None means "no code".
 
     Raises:
         ValueError: code is empty or whitespace-only.
-        DerivationError: the model returned empty output.
+        DerivationError: the summary came back empty, or the pattern answer
+            lacks the code-pattern marker.
     """
     if not code or not code.strip():
-        raise ValueError("cannot summarize empty code")
-    response = llm.complete(render_derivation_prompt(FUNCTIONALITY_PROMPT, code))
-    summary = response.strip()
-    if not summary:
+        raise ValueError(f"cannot derive the {kind.value} of empty code")
+    abstraction = kind is IndexKind.ABSTRACTION
+    template = ABSTRACTION_PROMPT if abstraction else FUNCTIONALITY_PROMPT
+    response = llm.complete(render_derivation_prompt(template, code))
+    if abstraction:
+        return parse_code_pattern(response)
+    if not response.strip():
         raise DerivationError("functionality summary came back empty")
-    return summary
-
-
-def abstract_code(code: str, llm) -> str | None:
-    """Ask the gateway for the code pattern of `code`; None means "no code".
-
-    Raises:
-        ValueError: code is empty or whitespace-only.
-        DerivationError: response lacks the code-pattern marker.
-    """
-    if not code or not code.strip():
-        raise ValueError("cannot abstract empty code")
-    response = llm.complete(render_derivation_prompt(ABSTRACTION_PROMPT, code))
-    return parse_code_pattern(response)
+    return response.strip()
 
 
 def map_outcomes(fn, items: list) -> list[tuple[object, Exception | None]]:
@@ -146,13 +141,13 @@ def map_outcomes(fn, items: list) -> list[tuple[object, Exception | None]]:
 
 
 class DerivationCache:
-    """Per-process cache keyed by (content digest, derivation kind).
+    """Per-process cache of `derive`, keyed by (content digest, derivation kind).
 
-    Single flight: concurrent callers of one key wait for one derivation. The
-    index build derives each distinct text once, so this serves the scans of
-    a batch, whose duplicate targets ask for one key at once. A failure is
-    not cached; a caller that waited on a failed derivation derives the key
-    itself.
+    Single flight: concurrent callers of one key wait for one derivation.
+    This serves the scans of a batch, whose duplicate targets ask for one
+    key at once; the index build calls `derive` once per distinct text. A
+    failure is not cached; a caller that waited on a failed derivation
+    derives the key itself.
     """
 
     def __init__(self):
@@ -175,8 +170,7 @@ class DerivationCache:
             with leader:  # returns once the leader's derivation has ended
                 pass
         try:
-            derive = summarize_functionality if kind is IndexKind.FUNCTIONALITY else abstract_code
-            value = derive(code, llm)
+            value = derive(kind, code, llm)
             with self._lock:
                 self._store[key] = value
         finally:
@@ -198,12 +192,11 @@ class OfflineEmbedder:
     Concurrent callers may hash one gram twice; both store the same value.
     """
 
-    def __init__(self, dimension: int = DEFAULT_DIMENSION, seed: int = 9157, ngram: int = 3):
+    def __init__(self, dimension: int = DEFAULT_DIMENSION, seed: int = 9157):
         if dimension < 1:
             raise ConfigurationError("embedder dimension must be >= 1")
         self.dimension = dimension
         self.seed = seed
-        self.ngram = ngram
         self._prefix = f"{seed}:".encode("utf-8")
         self._grams: dict[str, tuple[int, int]] = {}
         # (bucket, sign) sits at 2 * bucket + (sign > 0); memo values are these
@@ -212,14 +205,14 @@ class OfflineEmbedder:
 
     @property
     def identity(self) -> str:
-        return f"offline-ngram{self.ngram}-d{self.dimension}-seed{self.seed}"
+        return f"offline-ngram{NGRAM}-d{self.dimension}-seed{self.seed}"
 
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise ValueError("cannot embed empty text")
         counts = [0] * self.dimension
-        n = self.ngram
-        grams = [text[i:i + n] for i in range(len(text) - n + 1)] if len(text) >= n else [text]
+        # a text shorter than one gram is its own single gram
+        grams = [text[i:i + NGRAM] for i in range(max(1, len(text) - NGRAM + 1))]
         memo = self._grams
         for gram in grams:
             hashed = memo.get(gram)
@@ -408,10 +401,9 @@ class VectorIndex:
             raise CorpusError(
                 "snippet catalog was built against a different corpus state; rebuild it"
             )
-        cache = DerivationCache()
         snippets = corpus.snippets()
         texts = list(dict.fromkeys(snippet.text for _, snippet in snippets))
-        outcomes = map_outcomes(lambda text: cache.derive(kind, text, llm), texts)
+        outcomes = map_outcomes(lambda text: derive(kind, text, llm), texts)
         derivations = dict(zip(texts, outcomes))
         entries: list[IndexEntry] = []
         failures: list[str] = []

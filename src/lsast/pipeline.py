@@ -194,6 +194,10 @@ def _validate_dependencies(mode: RetrievalMode, context: ScanContext):
             raise ConfigurationError(
                 f"mode {mode.value} needs the {kind.value} index, none configured"
             )
+        if index.kind is not kind:
+            raise ConfigurationError(
+                f"the {kind.value} index slot holds an index of kind {index.kind.value}"
+            )
         if index.corpus_digest != corpus_digest:
             raise ConfigurationError(
                 f"{kind.value} index was built against a different corpus state; rebuild it"

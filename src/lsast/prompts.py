@@ -14,7 +14,6 @@ before {target_code} so injected code cannot smuggle a placeholder token.
 from dataclasses import dataclass, field
 
 from .errors import DerivationError, PromptBudgetError
-from .sast import FormattedFinding
 
 TEMPLATE_VERSION = "1"
 
@@ -94,7 +93,7 @@ REPORT_SECTION_HEADER = "Relevant vulnerability reports:"
 _INSTRUCTION_ANCHOR = "You are a very efficient vulnerability scanner.\n"
 
 
-def format_bearer_result(findings: list[FormattedFinding]) -> str:
+def format_bearer_result(findings: list[str]) -> str:
     """Render formatted findings as the bracketed, quoted list the prompt embeds.
 
     Entry lines are tab-tab-indented and, except for the last, end with a
@@ -102,7 +101,7 @@ def format_bearer_result(findings: list[FormattedFinding]) -> str:
     """
     if not findings:
         return "[]"
-    body = ", \n".join("\t\t'" + finding.text + "'" for finding in findings)
+    body = ", \n".join("\t\t'" + finding + "'" for finding in findings)
     return "[\n" + body + "\n]"
 
 
@@ -138,7 +137,7 @@ def _assemble(template: str, annotated_text: str, bearer_result: str | None,
     return head + section + _INSTRUCTION_ANCHOR + tail
 
 
-def build_scan_prompt(annotated, sast: list[FormattedFinding] | None = None,
+def build_scan_prompt(annotated, sast: list[str] | None = None,
                       reports=None,
                       char_budget: int = DEFAULT_PROMPT_CHAR_BUDGET) -> BuiltPrompt:
     """Assemble the scan prompt for one target.

@@ -64,13 +64,6 @@ class Finding:
     severity: str | None = None
 
 
-@dataclass(frozen=True)
-class FormattedFinding:
-    """Compact prompt string of shape "CWE-<id> (line <a>-<b>)" or "CWE-<id> (line <a>)"."""
-
-    text: str
-
-
 @dataclass
 class ParsedReport:
     findings: list[Finding]
@@ -205,11 +198,12 @@ def parse_scanner_report(report_text) -> ParsedReport:
     return ParsedReport(findings=findings, warnings=warnings)
 
 
-def format_findings(findings: list[Finding]) -> list[FormattedFinding]:
+def format_findings(findings: list[Finding]) -> list[str]:
     """Render findings as prompt strings, one entry per (finding, cwe id) pair.
 
     Order-preserving: finding order, then cwe id order within a finding.
-    Single-line findings render "(line <a>)", ranges "(line <a>-<b>)".
+    Each string is "CWE-<id> (line <a>)" for a single-line finding and
+    "CWE-<id> (line <a>-<b>)" for a range.
     """
     formatted = []
     for finding in findings:
@@ -218,12 +212,12 @@ def format_findings(findings: list[Finding]) -> list[FormattedFinding]:
                 span = f"(line {finding.line_start})"
             else:
                 span = f"(line {finding.line_start}-{finding.line_end})"
-            formatted.append(FormattedFinding(text=f"CWE-{cwe} {span}"))
+            formatted.append(f"CWE-{cwe} {span}")
     return formatted
 
 
 def parse_formatted_finding(text: str) -> tuple[str, int, int]:
-    """Recover (cwe id, line_start, line_end) from a FormattedFinding string.
+    """Recover (cwe id, line_start, line_end) from a `format_findings` string.
 
     Raises:
         ScannerReportError: text does not match the formatted shape.

@@ -52,7 +52,6 @@ from lsast.prompts import (
 )
 from lsast.sast import (
     Finding,
-    FormattedFinding,
     format_findings,
     parse_formatted_finding,
     parse_scanner_report,
@@ -108,14 +107,14 @@ RAW_TEMPLATE_SHA256 = "b981826fae82fc54e1ad67de593bd0d871b9b365ad519cb342cd2dc5f
 ASSEMBLED_EXAMPLE_SHA256 = "fdd44d2997394c88a43604cf23cda32270bdc38c566ba4903a51673cee9ef12d"
 
 # the worked example's scanner findings, already formatted
-EXAMPLE_FINDINGS = [FormattedFinding(text=t) for t in (
+EXAMPLE_FINDINGS = [
     "CWE-943 (line 59-65)",
     "CWE-943 (line 85-89)",
     "CWE-943 (line 107-111)",
     "CWE-943 (line 145-149)",
     "CWE-611 (line 235)",
     "CWE-78 (line 39-44)",
-)]
+]
 
 # the worked example's target excerpt (tab-indented Node.js handler)
 EXAMPLE_SOURCE = (
@@ -175,7 +174,7 @@ def test_criterion_3_round_trips():
         finding = Finding(cwe_ids=[cwe], rule_id="r", title="", description="",
                           file_path="a.js", line_start=start, line_end=end)
         [formatted] = format_findings([finding])
-        assert parse_formatted_finding(formatted.text) == (cwe, start, end)
+        assert parse_formatted_finding(formatted) == (cwe, start, end)
 
     # (b) strip . annotate identity, 10^4 cases
     line_chars = string.ascii_letters + string.digits + " \t(){};'\"=+-*/.,<>!&|"

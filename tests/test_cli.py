@@ -266,6 +266,21 @@ class TestEvalRegimes:
                    "--labels", str(labels)) == 1
         assert "out of range" in capsys.readouterr().err
 
+    def test_false_negative_labels_keyed_by_note(self, workspace, capsys, tmp_path):
+        record_id = self._scanned(workspace, capsys)
+        labels = tmp_path / "labels.jsonl"
+        fn = {"record": record_id, "finding": -1, "verdict": "fn"}
+        labels.write_text("".join(json.dumps(item) + "\n" for item in (
+            dict(fn, note="missed sqli"), dict(fn, note="missed xss"), dict(fn, note="missed xss"),
+        )))
+        assert run(workspace, "eval", "--truth", "labels", "--labels", str(labels),
+                   "--format", "json") == 0
+        assert json.loads(capsys.readouterr().out)["columns"][0]["counts"]["fn"] == 2
+        with labels.open("a") as handle:
+            handle.write(json.dumps(dict(fn, finding=7)) + "\n")
+        assert run(workspace, "eval", "--truth", "labels", "--labels", str(labels)) == 1
+        assert "finding index -1" in capsys.readouterr().err
+
 
     def test_rerun_records_counted_once(self, workspace, capsys, tmp_path):
         target = tmp_path / "t.js"

@@ -20,6 +20,7 @@ from lsast.evaluation import (
     match_findings,
     render_metrics_table,
     truth_from_findings,
+    validate_label,
 )
 from lsast.gateway import PredictedFinding
 from lsast.sast import Finding
@@ -270,6 +271,27 @@ class TestLabels:
         ]
         counts = confusion_from_labels(labels, self._records())
         assert (counts.tp, counts.fp) == (0, 1)
+
+    def test_each_false_negative_note_is_its_own_miss(self):
+        labels = [
+            EvalLabel("rec-a", -1, Verdict.FALSE_NEGATIVE, "sqli in login"),
+            EvalLabel("rec-a", -1, Verdict.FALSE_NEGATIVE, "xss in search"),
+            EvalLabel("rec-a", -1, Verdict.FALSE_NEGATIVE, "sqli in login"),  # re-appended
+            EvalLabel("rec-a", 0, Verdict.TRUE_POSITIVE),
+        ]
+        for records in (self._records(), {"rec-a"}):
+            counts = confusion_from_labels(labels, records)
+            assert (counts.tp, counts.fn) == (1, 2)
+
+    @pytest.mark.parametrize("index", [0, 2, 7, -2])
+    def test_false_negative_index_must_be_minus_one(self, index):
+        labels = [EvalLabel("rec-a", index, Verdict.FALSE_NEGATIVE),
+                  EvalLabel("rec-a", -1, Verdict.FALSE_NEGATIVE)]
+        for records in (self._records(), {"rec-a"}):
+            with pytest.raises(EvaluationError, match="index -1"):
+                validate_label(labels[0], records)
+            with pytest.raises(EvaluationError, match="index -1"):
+                confusion_from_labels(labels, records)
 
     def test_unknown_record_rejected(self):
         with pytest.raises(EvaluationError):

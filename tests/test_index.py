@@ -26,12 +26,12 @@ from lsast.index import (
     IndexKind,
     OfflineEmbedder,
     VectorIndex,
-    abstract_code,
     correlate,
+    derive,
     map_outcomes,
-    summarize_functionality,
 )
 from lsast.jsonio import canonical_json
+from lsast.prompts import ABSTRACTION_PROMPT, FUNCTIONALITY_PROMPT, render_derivation_prompt
 
 
 def brute_force_topk(vectors: np.ndarray, sequences: list[int], query: np.ndarray,
@@ -211,18 +211,23 @@ class TestOfflineEmbedder:
         assert OfflineEmbedder().identity != OfflineEmbedder(seed=1).identity
         assert OfflineEmbedder().identity != OfflineEmbedder(dimension=64).identity
 
+    def test_identity_is_pinned(self):
+        # index headers store it; a changed id refuses every saved index
+        assert OfflineEmbedder().identity == "offline-ngram3-d256-seed9157"
+        assert OfflineEmbedder(dimension=64, seed=1).identity == "offline-ngram3-d64-seed1"
+
 
 class TestDerivations:
     def test_summarize_functionality(self):
-        summary = summarize_functionality("var x = 1", MockGateway())
+        summary = derive(IndexKind.FUNCTIONALITY, "var x = 1", MockGateway())
         assert summary.startswith("Perform the operation identified by")
 
     def test_summarize_rejects_empty_code(self):
         with pytest.raises(ValueError):
-            summarize_functionality("", MockGateway())
+            derive(IndexKind.FUNCTIONALITY, "", MockGateway())
 
     def test_abstract_code(self):
-        pattern = abstract_code("var count = total + 1", MockGateway())
+        pattern = derive(IndexKind.ABSTRACTION, "var count = total + 1", MockGateway())
         assert pattern is not None
         assert "count" not in pattern
 
@@ -231,7 +236,7 @@ class TestDerivations:
             def complete(self, prompt):
                 return "Code-Pattern:[no code]"
 
-        assert abstract_code("prose only", NoCode()) is None
+        assert derive(IndexKind.ABSTRACTION, "prose only", NoCode()) is None
 
     def test_abstract_code_bad_response(self):
         class Garbled:
@@ -239,7 +244,42 @@ class TestDerivations:
                 return "I refuse."
 
         with pytest.raises(DerivationError):
-            abstract_code("var x = 1", Garbled())
+            derive(IndexKind.ABSTRACTION, "var x = 1", Garbled())
+
+    @pytest.mark.parametrize("kind, template", [
+        (IndexKind.FUNCTIONALITY, FUNCTIONALITY_PROMPT), (IndexKind.ABSTRACTION, ABSTRACTION_PROMPT)])
+    def test_one_call_with_the_kind_prompt(self, kind, template):
+        gateway = MockGateway()
+        derive(kind, "var x = 1", gateway)
+        assert gateway.call_count == 1
+        assert gateway.last_prompt == render_derivation_prompt(template, "var x = 1")
+
+    @pytest.mark.parametrize("kind", list(IndexKind))
+    @pytest.mark.parametrize("code", ["", " \n\t"])
+    def test_empty_code_refused_before_any_call(self, kind, code):
+        gateway = MockGateway()
+        with pytest.raises(ValueError):
+            derive(kind, code, gateway)
+        assert gateway.call_count == 0
+
+    def test_blank_summary_fails(self):
+        class Blank:
+            def complete(self, prompt):
+                return " \n"
+
+        with pytest.raises(DerivationError):
+            derive(IndexKind.FUNCTIONALITY, "var x = 1", Blank())
+
+    def test_build_derives_without_a_cache(self, corpus, embedder, monkeypatch):
+        def no_cache():
+            raise AssertionError("the build created a DerivationCache")
+
+        gateway = MockGateway()
+        monkeypatch.setattr("lsast.index.DerivationCache", no_cache)
+        for kind in IndexKind:
+            VectorIndex.build(corpus, kind, gateway, embedder)
+        texts = {snippet.text for _, snippet in corpus.snippets()}
+        assert gateway.call_count == 2 * len(texts)
 
     def test_cache_avoids_repeat_calls(self):
         gateway = MockGateway()

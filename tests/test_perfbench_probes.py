@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lsast
 import lsast.cli
 import lsast.pipeline
 from lsast.annotate import annotate_lines
@@ -80,6 +81,32 @@ def test_eval_probes_record_their_spans(tmp_path, capsys, regime, spans):
         tracer.unpatch()
     capsys.readouterr()
     assert spans <= {span[1] for span in tracer.spans}
+
+
+def test_scan_names_the_benchmark_uses(corpus, indexes, embedder, tmp_path):
+    # perfbench/run.py builds its ScanContext by these keywords and reads the
+    # mode flags; its index.derive_* metrics count the spans of the patched
+    # DerivationCache.derive, which each retrieval of a scan must reach
+    functionality, abstraction = indexes
+    target = tmp_path / "a.js"
+    target.write_text("var q = req.query.q;\ndb.find({$where: q});\n")
+    mode = RetrievalMode.COMBINED_LSAST
+    assert mode.uses_functionality and mode.uses_abstraction
+    assert not (RetrievalMode.RAW.uses_functionality or RetrievalMode.RAW.uses_abstraction)
+
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    tracing.install_scan_probes(tracer, MockGateway, {})
+    try:
+        context = lsast.ScanContext(
+            gateway=MockGateway(), corpus=corpus, functionality_index=functionality,
+            abstraction_index=abstraction, embedder=embedder, scanner=lambda target: [],
+            attach_scanner_findings=True,
+        )
+        lsast.run_scan_batch([target], mode, k=3, context=context)
+    finally:
+        tracer.unpatch()
+    assert [span[1] for span in tracer.spans].count("index.derive") == 2
 
 
 def test_bench_gateway_keeps_the_complete_contract():

@@ -119,6 +119,16 @@ class TestValidation:
             run_scan(js_target, RetrievalMode.FUNCTIONALITY, context=context)
         assert "rebuild" in str(exc.value).lower()
 
+    @pytest.mark.parametrize("mode", [RetrievalMode.FUNCTIONALITY,
+                                      RetrievalMode.ABSTRACTION_LSAST, RetrievalMode.COMBINED])
+    def test_index_in_the_wrong_slot_refused(self, js_target, context, mode):
+        context.functionality_index, context.abstraction_index = (
+            context.abstraction_index, context.functionality_index)
+        with pytest.raises(ConfigurationError) as exc:
+            run_scan(js_target, mode, context=context)
+        assert "functionality" in str(exc.value) and "abstraction" in str(exc.value)
+        assert context.gateway.call_count == 0
+
     def test_k_validated(self, js_target, context):
         with pytest.raises(ConfigurationError):
             run_scan(js_target, RetrievalMode.RAW, k=0, context=context)

@@ -16,7 +16,6 @@ from lsast.prompts import (
     render_derivation_prompt,
     render_report_block,
 )
-from lsast.sast import FormattedFinding
 
 # Frozen template fingerprints. A change to any template is a contract
 # change and must be made deliberately, with these updated in the same
@@ -50,8 +49,8 @@ class TestTemplates:
 
 class TestBearerResultBlock:
     def test_multi_entry_layout(self):
-        findings = [FormattedFinding("CWE-943 (line 59-65)"),
-                    FormattedFinding("CWE-78 (line 39-44)")]
+        findings = ["CWE-943 (line 59-65)",
+                    "CWE-78 (line 39-44)"]
         assert format_bearer_result(findings) == (
             "[\n"
             "\t\t'CWE-943 (line 59-65)', \n"
@@ -60,7 +59,7 @@ class TestBearerResultBlock:
         )
 
     def test_single_entry(self):
-        assert format_bearer_result([FormattedFinding("CWE-611 (line 235)")]) == (
+        assert format_bearer_result(["CWE-611 (line 235)"]) == (
             "[\n\t\t'CWE-611 (line 235)'\n]"
         )
 
@@ -73,7 +72,7 @@ class TestBuildScanPrompt:
         return annotate_lines("var x = input()\neval(x)")
 
     def test_sast_prompt_substitutes_both_slots(self):
-        findings = [FormattedFinding("CWE-94 (line 2)")]
+        findings = ["CWE-94 (line 2)"]
         built = build_scan_prompt(self._annotated(), sast=findings)
         assert built.text.startswith("Code:\nline 1: var x = input()\n")
         assert "\t\t'CWE-94 (line 2)'" in built.text
@@ -88,7 +87,7 @@ class TestBuildScanPrompt:
     def test_code_containing_placeholders_is_not_expanded(self):
         # Target code that spells a placeholder must pass through verbatim.
         annotated = annotate_lines("print('{bearer_result}')\nprint('{target_code}')")
-        findings = [FormattedFinding("CWE-94 (line 1)")]
+        findings = ["CWE-94 (line 1)"]
         built = build_scan_prompt(annotated, sast=findings)
         assert "line 1: print('{bearer_result}')" in built.text
         assert "line 2: print('{target_code}')" in built.text
@@ -100,7 +99,7 @@ class TestBuildScanPrompt:
             vulnerability_information="Body text.",
         )
         built = build_scan_prompt(self._annotated(),
-                                  sast=[FormattedFinding("CWE-94 (line 2)")],
+                                  sast=["CWE-94 (line 2)"],
                                   reports=[report])
         section = built.text.find("Relevant vulnerability reports:")
         instructions = built.text.find("You are a very efficient vulnerability scanner.")

@@ -12,7 +12,6 @@ from lsast import sast
 from lsast.sast import (
     Finding,
     FindingIndex,
-    FormattedFinding,
     filter_findings_for_file,
     format_findings,
     normalize_cwe,
@@ -135,18 +134,17 @@ class TestFormatting:
     def test_range_format(self):
         finding = Finding(cwe_ids=["78"], rule_id="r", title="", description="",
                           file_path="a.js", line_start=39, line_end=44)
-        assert format_findings([finding]) == [FormattedFinding("CWE-78 (line 39-44)")]
+        assert format_findings([finding]) == ["CWE-78 (line 39-44)"]
 
     def test_single_line_format(self):
         finding = Finding(cwe_ids=["611"], rule_id="r", title="", description="",
                           file_path="a.js", line_start=235, line_end=235)
-        assert format_findings([finding]) == [FormattedFinding("CWE-611 (line 235)")]
+        assert format_findings([finding]) == ["CWE-611 (line 235)"]
 
     def test_one_entry_per_cwe(self):
         finding = Finding(cwe_ids=["78", "89"], rule_id="r", title="", description="",
                           file_path="a.js", line_start=1, line_end=2)
-        texts = [f.text for f in format_findings([finding])]
-        assert texts == ["CWE-78 (line 1-2)", "CWE-89 (line 1-2)"]
+        assert format_findings([finding]) == ["CWE-78 (line 1-2)", "CWE-89 (line 1-2)"]
 
     def test_parse_formatted_round_trip_random(self):
         rng = random.Random(1291)
@@ -157,9 +155,8 @@ class TestFormatting:
             finding = Finding(cwe_ids=[str(cwe)], rule_id="r", title="",
                               description="", file_path="a.js",
                               line_start=start, line_end=end)
-            formatted = format_findings([finding])[0]
-            parsed = parse_formatted_finding(formatted.text)
-            assert parsed == (str(cwe), start, end)
+            [formatted] = format_findings([finding])
+            assert parse_formatted_finding(formatted) == (str(cwe), start, end)
 
     def test_parse_formatted_rejects_noise(self):
         with pytest.raises(ScannerReportError):
