@@ -46,7 +46,6 @@ from .evaluation import (
     confusion_from_labels,
     confusion_from_matching,
     evaluate_retrieval,
-    f1_consistent,
     format_percent,
     match_findings,
     render_metrics_table,

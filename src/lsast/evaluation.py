@@ -274,20 +274,6 @@ def format_percent(value: float) -> str:
     return text + "%"
 
 
-def f1_consistent(precision_pct: float, tp_rate_pct: float, f1_pct: float,
-                  tolerance: float = 0.02) -> bool:
-    """Check that a printed F1 follows from its own precision and TP-rate.
-
-    All arguments are percentages as printed (2 decimals). The tolerance
-    absorbs the rounding of precision and TP-rate; a genuinely inconsistent
-    column misses by whole percentage points.
-    """
-    if precision_pct + tp_rate_pct == 0:
-        return f1_pct == 0
-    harmonic = 2 * precision_pct * tp_rate_pct / (precision_pct + tp_rate_pct)
-    return abs(harmonic - f1_pct) <= tolerance
-
-
 def evaluate_retrieval(results, corpus) -> tuple[MetricsReport, ConfusionCounts, list[str]]:
     """Judge retrieval quality against the scanner's CWEs per file.
 

@@ -61,7 +61,8 @@ DEFAULT_K = 3
 DEFAULT_DIMENSION = 256
 NGRAM = 3  # OfflineEmbedder's gram length, part of its identity
 # model calls in flight at once while the index build and the snippet catalog
-# derive; independent of `parallelism`, which counts concurrent scans
+# derive, and the most derive-ahead calls beside a scan batch's `parallelism`
+# scans (see `Workers`)
 SETUP_WORKERS = 4
 
 
@@ -93,51 +94,87 @@ def derive(kind: IndexKind, code: str, llm) -> str | None:
     return response.strip()
 
 
-def map_outcomes(fn, items: list) -> list[tuple[object, Exception | None]]:
-    """Run `fn` over `items` on up to SETUP_WORKERS threads; outcomes in input order.
+class Workers:
+    """Run `fn` over `items` on up to SETUP_WORKERS threads, from construction on.
 
     Each outcome is `(fn(item), None)`, or `(None, error)` when `fn` raised
-    an LsastError or ValueError. Each worker pulls the next position from
-    one shared iterator, so a slow call holds up only its own worker. A call
-    that spent most of its wall time on its own thread's CPU held the GIL
-    rather than waited, so overlapping it gains nothing and costs GIL
-    hand-offs: after such a call its worker retires, down to the last one.
-    Any other exception stops the workers from taking new items and is
-    raised here once every worker has finished.
+    an LsastError or ValueError; a position no worker reached stays None.
+    Each worker pulls the next position from one shared iterator, so a slow
+    call holds up only its own worker. A call that spent most of its wall
+    time on its own thread's CPU held the GIL rather than waited, so
+    overlapping it gains nothing and costs GIL hand-offs: after such a call
+    its worker retires, down to `floor` workers. Only a call whose value
+    passes `judged` is timed; one that returned without reaching the model
+    says nothing about the model. After `stop`, each worker ends its call
+    and takes no other. Any other exception stops the workers likewise and
+    is raised by `join`, or on leaving a `with` block that no exception is
+    already leaving; the block stops the workers and waits for them.
     """
-    outcomes: list = [None] * len(items)
-    positions = iter(range(len(items)))
-    lock = threading.Lock()
-    stop = threading.Event()
-    workers = min(SETUP_WORKERS, len(items))
-    active = workers
 
-    def work():
-        nonlocal active
-        while not stop.is_set():
-            with lock:
-                position = next(positions, None)
+    def __init__(self, fn, items: list, floor: int = 1, judged=lambda value: True):
+        self.outcomes: list = [None] * len(items)
+        self._fn = fn
+        self._items = items
+        self._positions = iter(range(len(items)))
+        self._lock = threading.Lock()
+        self._stop = threading.Event()
+        workers = min(SETUP_WORKERS, len(items))
+        self._active = workers
+        self._floor = floor
+        self._judged = judged
+        self._pool = ThreadPoolExecutor(max_workers=SETUP_WORKERS)
+        self._futures = [self._pool.submit(self._work) for _ in range(workers)]
+
+    def _work(self):
+        while not self._stop.is_set():
+            with self._lock:
+                position = next(self._positions, None)
             if position is None:
                 return
             wall, cpu = time.perf_counter(), time.thread_time()
+            judged = True
             try:
-                outcomes[position] = (fn(items[position]), None)
+                value = self._fn(self._items[position])
+                self.outcomes[position] = (value, None)
+                judged = self._judged(value)
             except (LsastError, ValueError) as exc:
-                outcomes[position] = (None, exc)
+                self.outcomes[position] = (None, exc)
             except BaseException:
-                stop.set()
+                self._stop.set()
                 raise
-            if time.thread_time() - cpu > 0.5 * (time.perf_counter() - wall):
-                with lock:
-                    if active > 1:
-                        active -= 1
+            if judged and time.thread_time() - cpu > 0.5 * (time.perf_counter() - wall):
+                with self._lock:
+                    if self._active > self._floor:
+                        self._active -= 1
                         return
 
-    with ThreadPoolExecutor(max_workers=SETUP_WORKERS) as pool:
-        futures = [pool.submit(work) for _ in range(workers)]
-    for future in futures:
-        future.result()
-    return outcomes
+    def stop(self):
+        self._stop.set()
+
+    def join(self) -> list:
+        """Wait for every worker; the outcomes in input order."""
+        self._pool.shutdown(wait=True)
+        for future in self._futures:
+            future.result()
+        return self.outcomes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.stop()
+        if exc_type is None:
+            self.join()
+        else:
+            self._pool.shutdown(wait=True)
+
+
+def map_outcomes(fn, items: list) -> list[tuple[object, Exception | None]]:
+    """`fn` over `items` on up to SETUP_WORKERS threads (see `Workers`); outcomes in input order.
+
+    One worker stays on to the last item.
+    """
+    return Workers(fn, items).join()
 
 
 class DerivationCache:
@@ -145,9 +182,11 @@ class DerivationCache:
 
     Single flight: concurrent callers of one key wait for one derivation.
     This serves the scans of a batch, whose duplicate targets ask for one
-    key at once; the index build calls `derive` once per distinct text. A
-    failure is not cached; a caller that waited on a failed derivation
-    derives the key itself.
+    key at once, and the batch's derive-ahead workers, which derive later
+    targets' keys through `derive_ahead` while earlier targets scan: a scan
+    whose key a worker is deriving waits for that call. The index build
+    calls `derive` once per distinct text. A failure is not cached; a caller
+    that waited on a failed derivation derives the key itself.
     """
 
     def __init__(self):
@@ -169,6 +208,25 @@ class DerivationCache:
                     break
             with leader:  # returns once the leader's derivation has ended
                 pass
+        return self._lead(key, done, kind, code, llm)
+
+    def derive_ahead(self, kind: IndexKind, code: str, llm) -> bool:
+        """Derive and store the key unless it is stored or in flight.
+
+        Never waits for another caller. Returns whether this call derived the
+        key; raises as `derive` does.
+        """
+        key = (hashlib.sha256(code.encode("utf-8")).hexdigest(), kind.value)
+        with self._lock:
+            if key in self._store or key in self._in_flight:
+                return False
+            done = self._in_flight[key] = threading.Lock()
+            done.acquire()
+        self._lead(key, done, kind, code, llm)
+        return True
+
+    def _lead(self, key, done: threading.Lock, kind: IndexKind, code: str, llm):
+        """Derive `key` as its leader, then release `done` to its waiters."""
         try:
             value = derive(kind, code, llm)
             with self._lock:

@@ -16,6 +16,7 @@ its index fails fast instead of silently degrading to raw, because silent
 mode drift would invalidate downstream evaluations.
 """
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -37,7 +38,7 @@ from .errors import (
     SearchError,
 )
 from .gateway import PredictedFinding, parse_scan_response
-from .index import DEFAULT_K, DerivationCache, IndexKind, correlate
+from .index import DEFAULT_K, DerivationCache, IndexKind, Workers, correlate
 from .jsonio import canonical_json, replacing
 from .prompts import DEFAULT_PROMPT_CHAR_BUDGET, TEMPLATE_VERSION, build_scan_prompt
 from .sast import Finding, FindingIndex, filter_findings_for_file, format_findings
@@ -176,7 +177,11 @@ class ScanFailure:
     error_type: str
 
 
-def _validate_dependencies(mode: RetrievalMode, context: ScanContext):
+def _validate_dependencies(mode: RetrievalMode, k: int, context: ScanContext | None):
+    if context is None:
+        raise ConfigurationError("run_scan needs a ScanContext")
+    if k < 1:
+        raise ConfigurationError("k must be >= 1")
     if context.gateway is None:
         raise ConfigurationError("no chat gateway configured")
     if mode.uses_scanner and context.scanner is None:
@@ -247,13 +252,9 @@ def run_scan(target, mode: RetrievalMode, k: int = DEFAULT_K,
             retrieval step failed, or the scan call failed; scan-call
             failures carry a partial result with the retrievals preserved.
     """
-    if context is None:
-        raise ConfigurationError("run_scan needs a ScanContext")
-    if k < 1:
-        raise ConfigurationError("k must be >= 1")
     mode = RetrievalMode(mode)
     t_start = time.monotonic()
-    _validate_dependencies(mode, context)
+    _validate_dependencies(mode, k, context)
 
     target = Path(target)
     try:
@@ -356,10 +357,54 @@ def expand_targets(targets) -> list[Path]:
     return expanded
 
 
+def _derive_ahead(targets: list, mode: RetrievalMode, k: int,
+                  context: ScanContext | None) -> Workers | None:
+    """Start deriving `targets`' query keys into `context.cache`, in order.
+
+    Returns the running workers, or None when there is nothing to derive or
+    the mode's dependencies fail validation, which every scan then reports
+    before any model call. A target that cannot be read, or is blank, is
+    left to its scan to fail. The workers skip a key that is stored or in
+    flight, and all of them retire once their calls turn out CPU-bound,
+    since a thread beside a CPU-bound scan only slows it.
+    """
+    if not mode.index_kinds or not targets:
+        return None
+    try:
+        _validate_dependencies(mode, k, context)
+    except LsastError:
+        return None
+    if any(context.index_for(kind).embedder_id != context.embedder.identity
+           for kind in mode.index_kinds):
+        return None  # every search refuses this embedder before deriving
+
+    def derive_keys(target: Path) -> bool:
+        try:
+            source = target.read_text(encoding="utf-8", errors="replace")
+        except OSError:
+            return False
+        if not source.strip():
+            return False
+        # a list, not a generator: any() must not skip the later kinds
+        derived = [context.cache.derive_ahead(kind, source, context.gateway)
+                   for kind in mode.index_kinds]
+        return any(derived)
+
+    return Workers(derive_keys, targets, floor=0, judged=bool)
+
+
 def run_scan_batch(targets, mode: RetrievalMode, k: int = DEFAULT_K,
                    context: ScanContext | None = None,
                    parallelism: int = 1) -> list:
     """Scan many targets; results in input order, failures recorded inline.
+
+    Up to `parallelism` targets scan at once. In a retrieval mode, up to
+    SETUP_WORKERS threads meanwhile derive the query keys of the targets
+    from position `parallelism` on (see `_derive_ahead`), so a batch keeps
+    up to `parallelism` + SETUP_WORKERS model calls in flight. A scan whose
+    key is in flight waits for it, and one whose key no worker has reached
+    derives it itself, so each distinct key costs one model call unless a
+    derivation fails, and every result equals that of a lone `run_scan`.
 
     Returns a list whose elements are ScanResult or ScanFailure. Raises
     ScanError only when every target failed (and there was at least one).
@@ -379,11 +424,12 @@ def run_scan_batch(targets, mode: RetrievalMode, k: int = DEFAULT_K,
             )
 
     workers = max(1, parallelism)
-    if workers == 1:
-        results = list(map(scan_one, expanded))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(scan_one, expanded))
+    with _derive_ahead(expanded[workers:], mode, k, context) or contextlib.nullcontext():
+        if workers == 1:
+            results = list(map(scan_one, expanded))
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(scan_one, expanded))
 
     if all(isinstance(r, ScanFailure) for r in results):
         first = results[0]

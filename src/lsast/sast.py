@@ -27,7 +27,6 @@ _KNOWN_SEVERITIES = {"critical", "high", "medium", "low", "warning", "info"}
 
 _CWE_RE = re.compile(r"(?i)cwe[-_ ]?0*(\d+)")
 _DIGITS_RE = re.compile(r"0*(\d+)")
-_FORMATTED_RE = re.compile(r"^CWE-(\d+) \(line (\d+)(?:-(\d+))?\)$")
 
 
 def normalize_cwe(value) -> str | None:
@@ -214,19 +213,6 @@ def format_findings(findings: list[Finding]) -> list[str]:
                 span = f"(line {finding.line_start}-{finding.line_end})"
             formatted.append(f"CWE-{cwe} {span}")
     return formatted
-
-
-def parse_formatted_finding(text: str) -> tuple[str, int, int]:
-    """Recover (cwe id, line_start, line_end) from a `format_findings` string.
-
-    Raises:
-        ScannerReportError: text does not match the formatted shape.
-    """
-    match = _FORMATTED_RE.match(text)
-    if match is None:
-        raise ScannerReportError(f"not a formatted finding: {text!r}")
-    cwe, start, end = match.group(1), int(match.group(2)), match.group(3)
-    return cwe, start, int(end) if end is not None else start
 
 
 def _path_parts(path: str) -> tuple[str, ...]:

@@ -23,7 +23,6 @@ from lsast.evaluation import (
     compute_metrics,
     confusion_from_labels,
     confusion_from_matching,
-    f1_consistent,
     format_percent,
     match_findings,
     truth_from_findings,
@@ -53,9 +52,10 @@ from lsast.prompts import (
 from lsast.sast import (
     Finding,
     format_findings,
-    parse_formatted_finding,
     parse_scanner_report,
 )
+from test_evaluation import f1_consistent
+from test_sast import parse_formatted_finding
 
 
 # =============================================================================

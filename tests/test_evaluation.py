@@ -13,7 +13,6 @@ from lsast.evaluation import (
     confusion_from_labels,
     confusion_from_matching,
     evaluate_retrieval,
-    f1_consistent,
     format_percent,
     load_ground_truth,
     load_labels,
@@ -24,6 +23,21 @@ from lsast.evaluation import (
 )
 from lsast.gateway import PredictedFinding
 from lsast.sast import Finding
+
+
+def f1_consistent(precision_pct: float, tp_rate_pct: float, f1_pct: float,
+                  tolerance: float = 0.02) -> bool:
+    """Check that a printed F1 follows from its own precision and TP-rate.
+
+    All arguments are percentages as printed (2 decimals). The tolerance
+    absorbs the rounding of precision and TP-rate; a genuinely inconsistent
+    column misses by whole percentage points.
+    """
+    if precision_pct + tp_rate_pct == 0:
+        return f1_pct == 0
+    harmonic = 2 * precision_pct * tp_rate_pct / (precision_pct + tp_rate_pct)
+    return abs(harmonic - f1_pct) <= tolerance
+
 
 # Published measurement columns this package must reconstruct, as
 # (tp-rate, fp-rate, accuracy, precision, f1) percent strings, with the

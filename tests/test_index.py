@@ -26,6 +26,7 @@ from lsast.index import (
     IndexKind,
     OfflineEmbedder,
     VectorIndex,
+    Workers,
     correlate,
     derive,
     map_outcomes,
@@ -358,6 +359,54 @@ class TestDerivations:
         assert isinstance(outcomes["leader"], DerivationError)
         assert outcomes["waiter"].startswith("Perform the operation identified by")
         assert gateway.call_count == 1
+
+
+    def test_derive_ahead_derives_and_stores_a_new_key(self):
+        gateway = MockGateway()
+        cache = DerivationCache()
+        assert cache.derive_ahead(IndexKind.FUNCTIONALITY, "var x = 1", gateway) is True
+        assert cache.derive_ahead(IndexKind.FUNCTIONALITY, "var x = 1", gateway) is False
+        assert cache.derive(IndexKind.FUNCTIONALITY, "var x = 1", gateway).startswith("Perform")
+        assert gateway.call_count == 1
+
+    def test_derive_ahead_skips_a_key_in_flight_without_waiting(self):
+        release = threading.Event()
+        started = threading.Event()
+
+        class Held(MockGateway):
+            def complete(self, prompt):
+                started.set()
+                assert release.wait(timeout=10)
+                return super().complete(prompt)
+
+        cache = DerivationCache()
+        gateway = Held()
+        leader = threading.Thread(
+            target=cache.derive, args=(IndexKind.ABSTRACTION, "var x = 1", gateway))
+        leader.start()
+        try:
+            assert started.wait(timeout=10)
+            assert cache.derive_ahead(IndexKind.ABSTRACTION, "var x = 1", gateway) is False
+        finally:
+            release.set()
+            leader.join(timeout=10)
+        assert gateway.call_count == 1
+
+    def test_derive_ahead_failure_is_raised_and_not_cached(self):
+        class FailsOnce(MockGateway):
+            failed = False
+
+            def complete(self, prompt):
+                if not self.failed:
+                    self.failed = True
+                    raise DerivationError("model hiccup")
+                return super().complete(prompt)
+
+        gateway = FailsOnce()
+        cache = DerivationCache()
+        with pytest.raises(DerivationError):
+            cache.derive_ahead(IndexKind.FUNCTIONALITY, "var x = 1", gateway)
+        assert cache.derive_ahead(IndexKind.FUNCTIONALITY, "var x = 1", gateway) is True
 
 
 class TestBuildAndPersist:
@@ -698,6 +747,67 @@ class TestSetupPool:
         outcomes = map_outcomes(compute, list(range(600)))
         assert [value for value, _ in outcomes] == [sum(range(2000 + i)) for i in range(600)]
         assert len(set(threads[-100:])) == 1
+
+    def test_every_worker_retires_at_floor_zero(self):
+        calls = []
+
+        def compute(item):
+            calls.append(item)
+            return sum(range(20_000))
+
+        outcomes = Workers(compute, list(range(600)), floor=0).join()
+        assert len(calls) < 600
+        assert outcomes.count(None) == 600 - len(calls)
+
+    def test_calls_that_skip_the_model_are_not_judged(self):
+        """Instant calls whose value fails `judged` retire no worker.
+
+        A derive-ahead worker that meets a stored key returns at once, which
+        looks CPU-bound; were it judged, the hits up front would retire every
+        worker before the waiting calls behind them.
+        """
+        def fn(item):
+            if item < 200:
+                return False  # a cache hit: no model call
+            time.sleep(0.002)  # a model call: waits
+            return True
+
+        workers = Workers(fn, list(range(240)), floor=0, judged=bool)
+        outcomes = workers.join()
+        assert all(outcome is not None for outcome in outcomes)
+
+    def test_stop_takes_no_new_item_and_the_block_waits_for_every_worker(self):
+        taken = []
+        first = threading.Event()
+
+        def fn(item):
+            taken.append(item)
+            first.set()
+            time.sleep(0.01)
+            return True
+
+        before = set(threading.enumerate())
+        with Workers(fn, list(range(1000)), floor=0) as workers:
+            assert first.wait(timeout=10)
+        assert set(threading.enumerate()) == before
+        assert len(taken) < 1000
+        assert sum(outcome is not None for outcome in workers.outcomes) == len(taken)
+
+    def test_block_raises_a_worker_bug_only_when_nothing_else_is_raised(self):
+        called = threading.Event()
+
+        def fn(item):
+            called.set()
+            raise RuntimeError("worker bug")
+
+        with pytest.raises(RuntimeError, match="worker bug"):
+            with Workers(fn, [1, 2, 3]):
+                assert called.wait(timeout=10)
+        called.clear()
+        with pytest.raises(KeyError):
+            with Workers(fn, [1, 2, 3]):
+                assert called.wait(timeout=10)
+                raise KeyError("the block's own error")
 
     def test_unexpected_error_propagates_from_build(self, tmp_path, embedder):
         bodies = [fenced(f"var d{i} = {i};") for i in range(6)]

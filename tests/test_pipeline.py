@@ -846,3 +846,146 @@ class TestHotPath:
             IndexKind.ABSTRACTION, IndexKind.FUNCTIONALITY
         ]
         assert results[0].prompt_digest == results[1].prompt_digest
+
+
+class DerivationRecorder(MockGateway):
+    """MockGateway that records each derivation's (kind, tag, thread) and
+    holds the first scan call until `ready()` holds.
+
+    A target's tag is the number in its `var tag_<n>` line. Each derivation
+    sleeps a few milliseconds, as a model server would; `empty_summary_for`
+    names a tag whose functionality summary comes back empty.
+    """
+
+    def __init__(self, ready=lambda recorder: True, empty_summary_for=None):
+        super().__init__()
+        self.derivations = []
+        self.ready = ready
+        self.empty_summary_for = empty_summary_for
+        self.first_scan_waited = None
+        self._changed = threading.Condition()
+
+    def complete(self, prompt):
+        if "You are a very efficient vulnerability scanner." in prompt:
+            with self._changed:
+                if self.first_scan_waited is None:
+                    self.first_scan_waited = self._changed.wait_for(
+                        lambda: self.ready(self), timeout=5)
+            return super().complete(prompt)
+        kind = IndexKind.ABSTRACTION if "Code-Pattern:[xxxx]" in prompt else IndexKind.FUNCTIONALITY
+        tag = int(prompt.split("var tag_", 1)[1].split(" ", 1)[0])
+        time.sleep(0.003)
+        with self._changed:
+            self.derivations.append((kind, tag, threading.current_thread()))
+            self._changed.notify_all()
+        if kind is IndexKind.FUNCTIONALITY and tag == self.empty_summary_for:
+            super().complete(prompt)
+            return "  "
+        return super().complete(prompt)
+
+
+class TestDeriveAhead:
+    def _targets(self, tmp_path, tags):
+        targets = []
+        for position, tag in enumerate(tags):
+            path = tmp_path / f"t{position:02d}.js"
+            path.write_text(f"var tag_{tag} = req.query.a + '{tag}';\ndb.query(tag_{tag});\n")
+            targets.append(path)
+        return targets
+
+    def _serial(self, targets, mode, context, gateway=MockGateway):
+        """Each target scanned alone by run_scan, with a cache and gateway of its own."""
+        outcomes = []
+        for target in targets:
+            lone = dataclasses.replace(context, gateway=gateway(), cache=DerivationCache())
+            try:
+                outcomes.append(record_essence(run_scan(target, mode, 2, lone).to_dict()))
+            except ScanError as exc:
+                outcomes.append(str(exc))
+        return outcomes
+
+    def test_later_targets_derive_off_the_scan_thread_once_per_key(self, tmp_path, context):
+        # 24 targets over 10 distinct texts; position 0's text appears nowhere else
+        tags = [0] + [1 + i % 9 for i in range(23)]
+        targets = self._targets(tmp_path, tags)
+        keys = 2 * len(set(tags))
+        context.gateway = DerivationRecorder(ready=lambda r: len(r.derivations) == keys)
+        results = run_scan_batch(targets, RetrievalMode.COMBINED, k=2, context=context)
+
+        derivations = context.gateway.derivations
+        assert sorted((kind.value, tag) for kind, tag, _ in derivations) == sorted(
+            (kind.value, tag) for kind in IndexKind for tag in set(tags))
+        scan_thread = threading.current_thread()
+        assert [tag for _, tag, thread in derivations if thread is scan_thread] == [0, 0]
+        assert context.gateway.first_scan_waited is True
+        assert [record_essence(r.to_dict()) for r in results] == self._serial(
+            targets, RetrievalMode.COMBINED, context)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_failed_derivation_ahead_fails_its_target_as_a_lone_scan(self, tmp_path, context,
+                                                                     parallelism):
+        tags = [0, 1, 2, 3, 4, 5]
+        targets = self._targets(tmp_path, tags)
+        context.gateway = DerivationRecorder(
+            ready=lambda r: any(tag == 4 and thread is not scan_thread
+                                for _, tag, thread in r.derivations),
+            empty_summary_for=4)
+        scan_thread = threading.current_thread()
+        results = run_scan_batch(targets, RetrievalMode.FUNCTIONALITY, k=2, context=context,
+                                 parallelism=parallelism)
+        failure = results[4]
+        assert isinstance(failure, ScanFailure)
+        assert failure.error_type == "ScanError"
+        serial = self._serial(targets, RetrievalMode.FUNCTIONALITY, context,
+                              lambda: DerivationRecorder(empty_summary_for=4))
+        assert failure.error == serial[4]
+        assert "functionality summary came back empty" in failure.error
+        assert [record_essence(r.to_dict()) for r in results if isinstance(r, ScanResult)] == [
+            essence for position, essence in enumerate(serial) if position != 4]
+        # a worker tried it first, and the scan derived it again itself
+        assert context.gateway.first_scan_waited is True
+        assert [tag for _, tag, _ in context.gateway.derivations].count(4) == 2
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("case", ["success", "all_failed", "gateway_bug"])
+    def test_no_thread_left_behind(self, tmp_path, context, case, parallelism):
+        class Gateway(DerivationRecorder):
+            def complete(self, prompt):
+                scan = "You are a very efficient vulnerability scanner." in prompt
+                if case == "all_failed" and scan:
+                    raise GatewayError("scan call refused")
+                if case == "gateway_bug" and not scan:
+                    raise RuntimeError("gateway bug")
+                return super().complete(prompt)
+
+        targets = self._targets(tmp_path, range(12))
+        context.gateway = Gateway()
+        before = set(threading.enumerate())
+        expected = {"success": None, "all_failed": ScanError, "gateway_bug": RuntimeError}[case]
+        if expected is None:
+            results = run_scan_batch(targets, RetrievalMode.COMBINED, k=2, context=context,
+                                     parallelism=parallelism)
+            assert all(isinstance(r, ScanResult) for r in results)
+        else:
+            with pytest.raises(expected):
+                run_scan_batch(targets, RetrievalMode.COMBINED, k=2, context=context,
+                               parallelism=parallelism)
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("fault", ["stale_index", "other_embedder", "k_zero"])
+    @pytest.mark.parametrize("mode", [RetrievalMode.FUNCTIONALITY, RetrievalMode.COMBINED_LSAST])
+    def test_refused_batch_makes_no_model_call(self, tmp_path, context, report_dicts,
+                                               fault, mode):
+        targets = self._targets(tmp_path, range(8))
+        k = 2
+        if fault == "stale_index":
+            source = tmp_path / "extra.json"
+            source.write_text(json.dumps([dict(report_dicts[0], id=60, title="added later")]))
+            context.corpus.ingest_reports(source)
+        elif fault == "other_embedder":
+            context.embedder = OfflineEmbedder(dimension=64)
+        else:
+            k = 0
+        with pytest.raises(ScanError):
+            run_scan_batch(targets, mode, k=k, context=context)
+        assert context.gateway.call_count == 0

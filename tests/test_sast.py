@@ -15,10 +15,25 @@ from lsast.sast import (
     filter_findings_for_file,
     format_findings,
     normalize_cwe,
-    parse_formatted_finding,
     parse_scanner_report,
     run_external_scanner,
 )
+
+
+_FORMATTED_RE = re.compile(r"^CWE-(\d+) \(line (\d+)(?:-(\d+))?\)$")
+
+
+def parse_formatted_finding(text: str) -> tuple[str, int, int]:
+    """Recover (cwe id, line_start, line_end) from a `format_findings` string.
+
+    Raises:
+        ScannerReportError: text does not match the formatted shape.
+    """
+    match = _FORMATTED_RE.match(text)
+    if match is None:
+        raise ScannerReportError(f"not a formatted finding: {text!r}")
+    cwe, start, end = match.group(1), int(match.group(2)), match.group(3)
+    return cwe, start, int(end) if end is not None else start
 
 
 class TestNormalizeCwe:
