@@ -27,7 +27,7 @@ import requests
 
 from .errors import CorpusError, ReportNotFoundError, RemoteFetchError
 from .index import IndexKind, derive, map_outcomes
-from .jsonio import append_jsonl, canonical_json, read_jsonl, replacing
+from .jsonio import append_jsonl, canonical_json, read_jsonl, remove_stale_temps, replacing
 from .sast import normalize_cwe
 from .transport import send
 
@@ -431,6 +431,7 @@ class ReportCorpus:
             "version": self.CATALOG_VERSION,
             "corpus_digest": self.digest(),
         }
+        remove_stale_temps(self._snippets_path)
         with (replacing(self._snippets_path, CorpusError) as tmp,
               open(tmp, "w", encoding="utf-8") as handle):
             handle.write(canonical_json(header) + "\n")

@@ -72,7 +72,8 @@ class EvalLabel:
     """One hand-assigned verdict for a predicted finding.
 
     finding_index is -1 for false_negative labels, which reference a missed
-    vulnerability rather than a prediction.
+    vulnerability rather than a prediction, and for a duplicate label that
+    withdraws such a miss.
     """
 
     record_id: str
@@ -190,17 +191,26 @@ def validate_label(label: EvalLabel, records):
 
     `records` maps record id to ScanResult, or is a set of known ids, which
     checks the record id only. false_negative labels reference no finding,
-    so their index must be -1.
+    so their index must be -1; a duplicate label may use -1 to withdraw a
+    miss (see confusion_from_labels), and no other verdict may.
 
     Raises:
-        EvaluationError: unknown record, out-of-range finding index, or a
-            false_negative label whose index is not -1.
+        EvaluationError: unknown record, out-of-range finding index, a
+            false_negative label whose index is not -1, or a tp or fp label
+            at -1.
     """
     if label.record_id not in records:
         raise EvaluationError(f"no scan record {label.record_id!r}")
     if label.verdict is Verdict.FALSE_NEGATIVE and label.finding_index != -1:
         raise EvaluationError("false_negative labels use finding index -1")
-    if hasattr(records, "keys") and label.verdict is not Verdict.FALSE_NEGATIVE:
+    if label.finding_index == -1:
+        if label.verdict in (Verdict.FALSE_NEGATIVE, Verdict.DUPLICATE):
+            return
+        raise EvaluationError(
+            f"{label.verdict.value} labels need a finding; "
+            "index -1 is for false_negative and duplicate"
+        )
+    if hasattr(records, "keys"):
         findings = len(records[label.record_id].predicted)
         if not 0 <= label.finding_index < findings:
             raise EvaluationError(
@@ -215,9 +225,10 @@ def confusion_from_labels(labels: list[EvalLabel], records) -> ConfusionCounts:
     `records` is as for validate_label, which every label must pass.
     duplicate verdicts are excluded from every count. A later label for the
     same (record, finding index) overrides an earlier one, so an append-only
-    labels file stays correctable. A false_negative label is keyed by
-    (record, -1, note): each distinct note counts as its own miss, and an
-    identical label appended again counts once.
+    labels file stays correctable. A label at finding -1 is keyed by
+    (record, -1, note): each distinct false_negative note counts as its own
+    miss, an identical label appended again counts once, and a later
+    duplicate label with the same note withdraws that miss.
 
     Raises:
         EvaluationError: a label references an unknown record or an
@@ -226,7 +237,7 @@ def confusion_from_labels(labels: list[EvalLabel], records) -> ConfusionCounts:
     effective: dict[tuple, EvalLabel] = {}
     for label in labels:
         validate_label(label, records)
-        note = label.note if label.verdict is Verdict.FALSE_NEGATIVE else None
+        note = label.note if label.finding_index == -1 else None
         effective[(label.record_id, label.finding_index, note)] = label
     counts = ConfusionCounts()
     for label in effective.values():
@@ -406,7 +417,7 @@ def load_labels(path) -> list[EvalLabel]:
     """Read labels from a JSONL file.
 
     Record shape: {"record": <record id>, "finding": <index, -1 for
-    false negatives>, "verdict": <tp|fp|fn|duplicate|long form>,
+    false negatives and their withdrawals>, "verdict": <tp|fp|fn|duplicate|long form>,
     "note": <optional>}.
 
     Raises:

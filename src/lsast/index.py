@@ -18,8 +18,9 @@ version 2, the version `save` writes, an entry's embedding is the base64 of
 the vector's little-endian float64 bytes: the stored bytes are the vector's
 own bits, so loading gives back the exact vector, and rebuilding from the
 same corpus with the deterministic embedder reproduces the file bitwise.
-Version 1 stored the embedding as a JSON float list; `load` still reads it
-and refuses any other version, and any non-finite embedding.
+`load` reads version 2 only: a file of version 1, which stored embeddings as
+JSON float lists, or of any other version must be rebuilt with `lsast index`.
+It also refuses any non-finite embedding.
 """
 
 import base64
@@ -46,7 +47,7 @@ from .errors import (
     LsastError,
     SearchError,
 )
-from .jsonio import canonical_json, read_jsonl, replacing
+from .jsonio import canonical_json, read_jsonl, remove_stale_temps, replacing
 from .prompts import (
     ABSTRACTION_PROMPT,
     FUNCTIONALITY_PROMPT,
@@ -178,37 +179,31 @@ def map_outcomes(fn, items: list) -> list[tuple[object, Exception | None]]:
 
 
 class DerivationCache:
-    """Per-process cache of `derive`, keyed by (content digest, derivation kind).
+    """Per-run cache of model answers: derivations and scan replies.
 
-    Single flight: concurrent callers of one key wait for one derivation.
-    This serves the scans of a batch, whose duplicate targets ask for one
-    key at once, and the batch's derive-ahead workers, which derive later
-    targets' keys through `derive_ahead` while earlier targets scan: a scan
-    whose key a worker is deriving waits for that call. The index build
-    calls `derive` once per distinct text. A failure is not cached; a caller
-    that waited on a failed derivation derives the key itself.
+    A derivation is keyed by (content digest, derivation kind), a scan reply
+    by (prompt digest, "scan"). Every request goes out with a fixed seed
+    (see `ChatClient`), so one prompt asked twice asks the same question, and
+    each key costs one model call.
+
+    Single flight: concurrent callers of one key wait for one call. This
+    serves the scans of a batch, whose duplicate targets ask for one key at
+    once, and the batch's derive-ahead workers, which derive later targets'
+    keys through `derive_ahead` while earlier targets scan: a scan whose key
+    a worker is deriving waits for that call. The index build calls `derive`
+    once per distinct text. A failure is not cached; a caller that waited on
+    a failed call makes the call itself.
     """
 
     def __init__(self):
         self._store: dict[tuple[str, str], str | None] = {}
         self._lock = threading.Lock()
-        # key -> a lock its leader holds until the derivation ends
+        # key -> a lock its leader holds until the call ends
         self._in_flight: dict[tuple[str, str], threading.Lock] = {}
 
     def derive(self, kind: IndexKind, code: str, llm):
         key = (hashlib.sha256(code.encode("utf-8")).hexdigest(), kind.value)
-        while True:
-            with self._lock:
-                if key in self._store:
-                    return self._store[key]
-                leader = self._in_flight.get(key)
-                if leader is None:
-                    done = self._in_flight[key] = threading.Lock()
-                    done.acquire()
-                    break
-            with leader:  # returns once the leader's derivation has ended
-                pass
-        return self._lead(key, done, kind, code, llm)
+        return self._once(key, lambda: derive(kind, code, llm))[0]
 
     def derive_ahead(self, kind: IndexKind, code: str, llm) -> bool:
         """Derive and store the key unless it is stored or in flight.
@@ -217,25 +212,46 @@ class DerivationCache:
         key; raises as `derive` does.
         """
         key = (hashlib.sha256(code.encode("utf-8")).hexdigest(), kind.value)
-        with self._lock:
-            if key in self._store or key in self._in_flight:
-                return False
-            done = self._in_flight[key] = threading.Lock()
-            done.acquire()
-        self._lead(key, done, kind, code, llm)
-        return True
+        return self._once(key, lambda: derive(kind, code, llm), wait=False)[1]
 
-    def _lead(self, key, done: threading.Lock, kind: IndexKind, code: str, llm):
-        """Derive `key` as its leader, then release `done` to its waiters."""
+    def scan_reply(self, prompt: str, prompt_digest: str, llm) -> str:
+        """The model's reply to the scan prompt whose sha256 is `prompt_digest`.
+
+        Raises:
+            GatewayError: the model call failed.
+        """
+        return self._once((prompt_digest, "scan"), lambda: llm.complete(prompt))[0]
+
+    def _once(self, key, compute, wait: bool = True) -> tuple[object, bool]:
+        """(value of `key`, whether this call computed it).
+
+        A stored value is returned as is. A key in flight is waited for, or
+        with `wait` false left alone, giving (None, False). Otherwise this
+        call leads: it computes the value, stores it unless `compute` raised,
+        and then releases its waiters, who look again.
+        """
+        while True:
+            with self._lock:
+                if key in self._store:
+                    return self._store[key], False
+                leader = self._in_flight.get(key)
+                if leader is None:
+                    done = self._in_flight[key] = threading.Lock()
+                    done.acquire()
+                    break
+            if not wait:
+                return None, False
+            with leader:  # returns once the leader's call has ended
+                pass
         try:
-            value = derive(kind, code, llm)
+            value = compute()
             with self._lock:
                 self._store[key] = value
         finally:
             with self._lock:
                 del self._in_flight[key]
             done.release()
-        return value
+        return value, True
 
 
 class OfflineEmbedder:
@@ -368,18 +384,10 @@ class IndexEntry:
         }
 
 
-def _float_list_vector(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
-
-
 def _base64_vector(value) -> np.ndarray:
     if not isinstance(value, str):
         raise TypeError(f"embedding is {type(value).__name__}, expected a base64 string")
     return np.frombuffer(base64.b64decode(value, validate=True), dtype="<f8")
-
-
-# file version -> decoder of an entry's "embedding" value
-_EMBEDDING_DECODERS = {1: _float_list_vector, 2: _base64_vector}
 
 
 @dataclass
@@ -515,6 +523,7 @@ class VectorIndex:
             "corpus_digest": self.corpus_digest,
             "entries": len(self.entries),
         }
+        remove_stale_temps(path)
         with (replacing(path, IndexIntegrityError) as tmp,
               open(tmp, "w", encoding="utf-8") as handle):
             handle.write(canonical_json(header) + "\n")
@@ -524,7 +533,7 @@ class VectorIndex:
 
     @classmethod
     def load(cls, path) -> "VectorIndex":
-        """Read an index file of any version in `_EMBEDDING_DECODERS`.
+        """Read an index file of version FILE_VERSION.
 
         Raises:
             IndexIntegrityError: the file is missing, unreadable, of an
@@ -539,13 +548,10 @@ class VectorIndex:
             try:
                 if header is None:
                     version = record["version"]
-                    decode = (_EMBEDDING_DECODERS.get(version)
-                              if type(version) is int else None)
-                    if decode is None:
+                    if type(version) is not int or version != cls.FILE_VERSION:
                         raise IndexIntegrityError(
                             f"index file {path} has version {version!r}; this lsast reads "
-                            f"versions {', '.join(map(str, _EMBEDDING_DECODERS))}. "
-                            "Rebuild it with `lsast index`."
+                            f"version {cls.FILE_VERSION} only. Rebuild it with `lsast index`."
                         )
                     header = {
                         "kind": IndexKind(record["kind"]),
@@ -555,7 +561,7 @@ class VectorIndex:
                     }
                     declared = int(record["entries"])
                     continue
-                embedding = decode(record["embedding"])
+                embedding = _base64_vector(record["embedding"])
                 if embedding.shape != (header["dimension"],):
                     raise ValueError(
                         f"embedding has shape {embedding.shape}, "

@@ -2,12 +2,14 @@
 
 Every file lsast writes whole (snippet catalog, vector indexes, scan
 records) goes through `replacing`, so an interrupted write leaves the
-previous file intact and no partial file behind. Every append-only JSONL
-file (the report store, labels) grows through `append_jsonl`. Every JSONL
-file it reads goes through `read_jsonl`, so a bad line is reported as
-`path:line`.
+previous file intact and no partial file behind, unless the writing
+process is killed: the snippet catalog and the index files remove such temp
+files before each write (`remove_stale_temps`). Every append-only JSONL file
+(the report store, labels) grows through `append_jsonl`. Every JSONL file it
+reads goes through `read_jsonl`, so a bad line is reported as `path:line`.
 """
 
+import glob
 import json
 import os
 import threading
@@ -43,6 +45,40 @@ def replacing(path, error):
             tmp.unlink(missing_ok=True)
     except OSError as exc:
         raise error(f"cannot write {path}: {exc}") from None
+
+
+def _alive(pid: int) -> bool:
+    """False only when no process has `pid`; a pid that cannot be asked counts as alive."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (OSError, OverflowError):
+        pass  # a process of another user, or no valid pid
+    return True
+
+
+def remove_stale_temps(path):
+    """Remove the temp files of `path` that killed writers left behind.
+
+    A temp file of `replacing` is named `<name>.<pid>-<tid>.tmp`, and it
+    outlives its block only when the writing process died inside it. A file
+    whose pid is this process's, or a live process's, is kept, since its
+    writer may still be writing. Only POSIX can ask whether a pid is alive,
+    so elsewhere nothing is removed. A file that cannot be removed is left.
+    """
+    if os.name != "posix":
+        return
+    path = Path(path)
+    prefix = f"{path.name}."
+    for tmp in path.parent.glob(f"{glob.escape(prefix)}*-*.tmp"):
+        pid, _, tid = tmp.name[len(prefix):-len(".tmp")].partition("-")
+        if not (pid.isdigit() and tid.isdigit()) or int(pid) == os.getpid() or _alive(int(pid)):
+            continue
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass
 
 
 def append_jsonl(path, records, error):

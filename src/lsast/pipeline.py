@@ -245,6 +245,9 @@ def run_scan(target, mode: RetrievalMode, k: int = DEFAULT_K,
              context: ScanContext | None = None) -> ScanResult:
     """Scan one target file under `mode` with top-`k` retrieval per index.
 
+    The scan call goes through `context.cache`, so a prompt this context has
+    already sent is answered from the stored reply, parsed anew.
+
     Raises:
         ConfigurationError: a dependency the mode needs is missing or stale
             (raised before any model call).
@@ -318,7 +321,7 @@ def run_scan(target, mode: RetrievalMode, k: int = DEFAULT_K,
 
     t0 = time.monotonic()
     try:
-        raw_response = context.gateway.complete(built.text)
+        raw_response = context.cache.scan_reply(built.text, prompt_digest, context.gateway)
     except GatewayError as exc:
         raise ScanError(f"gateway failed for {target}: {exc}", partial_result=partial) from exc
     timings["model_s"] = round(time.monotonic() - t0, 6)
@@ -403,8 +406,9 @@ def run_scan_batch(targets, mode: RetrievalMode, k: int = DEFAULT_K,
     from position `parallelism` on (see `_derive_ahead`), so a batch keeps
     up to `parallelism` + SETUP_WORKERS model calls in flight. A scan whose
     key is in flight waits for it, and one whose key no worker has reached
-    derives it itself, so each distinct key costs one model call unless a
-    derivation fails, and every result equals that of a lone `run_scan`.
+    derives it itself. Scan prompts are shared the same way, so each
+    distinct key and each distinct scan prompt costs one model call unless
+    that call fails, and every result equals that of a lone `run_scan`.
 
     Returns a list whose elements are ScanResult or ScanFailure. Raises
     ScanError only when every target failed (and there was at least one).

@@ -282,6 +282,20 @@ class TestEvalRegimes:
         assert "finding index -1" in capsys.readouterr().err
 
 
+    def test_duplicate_label_withdraws_a_miss(self, workspace, capsys, tmp_path):
+        record_id = self._scanned(workspace, capsys)
+        labels = tmp_path / "labels.jsonl"
+        for verdict in ("fn", "duplicate"):
+            assert run(workspace, "label", "--labels", str(labels), "--record", record_id,
+                       "--verdict", verdict, "--finding", "-1", "--note", "missed sqli") == 0
+        assert "recorded duplicate" in capsys.readouterr().out
+        assert run(workspace, "eval", "--truth", "labels", "--labels", str(labels),
+                   "--format", "json") == 0
+        assert json.loads(capsys.readouterr().out)["columns"][0]["counts"]["fn"] == 0
+        assert run(workspace, "label", "--labels", str(labels), "--record", record_id,
+                   "--verdict", "tp", "--finding", "-1") == 1
+        assert "need a finding" in capsys.readouterr().err
+
     def test_rerun_records_counted_once(self, workspace, capsys, tmp_path):
         target = tmp_path / "t.js"
         target.write_text("var a = req.query.a;\nres.send(a);\ndb.query(a);\n")

@@ -297,6 +297,23 @@ class TestLabels:
             counts = confusion_from_labels(labels, records)
             assert (counts.tp, counts.fn) == (1, 2)
 
+    def test_duplicate_with_the_same_note_withdraws_a_miss(self):
+        fn, dup = Verdict.FALSE_NEGATIVE, Verdict.DUPLICATE
+        for records in (self._records(), {"rec-a"}):
+            for labels, misses in [
+                ([EvalLabel("rec-a", -1, fn, "x"), EvalLabel("rec-a", -1, dup, "x")], 0),
+                ([EvalLabel("rec-a", -1, fn, "x"), EvalLabel("rec-a", -1, dup, "y")], 1),
+                ([EvalLabel("rec-a", -1, dup, "x"), EvalLabel("rec-a", -1, fn, "x")], 1),
+                ([EvalLabel("rec-a", -1, dup, "x")], 0),
+            ]:
+                assert confusion_from_labels(labels, records).fn == misses
+
+    @pytest.mark.parametrize("verdict", [Verdict.TRUE_POSITIVE, Verdict.FALSE_POSITIVE])
+    def test_tp_and_fp_refused_at_minus_one(self, verdict):
+        for records in (self._records(), {"rec-a"}):
+            with pytest.raises(EvaluationError, match="need a finding"):
+                validate_label(EvalLabel("rec-a", -1, verdict), records)
+
     @pytest.mark.parametrize("index", [0, 2, 7, -2])
     def test_false_negative_index_must_be_minus_one(self, index):
         labels = [EvalLabel("rec-a", index, Verdict.FALSE_NEGATIVE),

@@ -408,6 +408,41 @@ class TestDerivations:
             cache.derive_ahead(IndexKind.FUNCTIONALITY, "var x = 1", gateway)
         assert cache.derive_ahead(IndexKind.FUNCTIONALITY, "var x = 1", gateway) is True
 
+    def test_scan_replies_one_call_per_prompt_under_contention(self):
+        class Slow(MockGateway):
+            def complete(self, prompt):
+                time.sleep(0.002)
+                return super().complete(prompt)
+
+        prompts = [f"You are a very efficient vulnerability scanner.\n{n}" for n in range(4)]
+        cache = DerivationCache()
+        gateway = Slow(scan_response="reply")
+        askers = prompts * 8
+        start = threading.Barrier(len(askers), timeout=10)  # every asker released at once
+        replies = []
+
+        def ask(prompt):
+            digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+            start.wait()
+            replies.append(cache.scan_reply(prompt, digest, gateway))
+
+        threads = [threading.Thread(target=ask, args=(prompt,)) for prompt in askers]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert replies == ["reply"] * len(askers)
+        assert gateway.call_count == len(prompts)
+        # a derivation of the same text is its own key
+        cache.derive(IndexKind.FUNCTIONALITY, prompts[0], gateway)
+        assert gateway.call_count == len(prompts) + 1
+
 
 class TestBuildAndPersist:
     def test_build_covers_catalog(self, corpus, embedder):
@@ -487,23 +522,19 @@ class TestBuildAndPersist:
         with pytest.raises(IndexIntegrityError, match=f"{path}:3: corrupt"):
             VectorIndex.load(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("entry", [1, 2])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_embedding_names_the_line(self, corpus, embedder, tmp_path,
-                                                 version, value):
+                                                 entry, value):
         index, _ = VectorIndex.build(corpus, IndexKind.FUNCTIONALITY,
                                      llm=MockGateway(), embedder=embedder)
-        path = tmp_path / "f.jsonl"
-        if version == 1:
-            write_version_1(index, path)
-        else:
-            index.save(path)
-        vector = np.array(index.entries[1].embedding)
+        path = index.save(tmp_path / "f.jsonl")
+        vector = np.array(index.entries[entry].embedding)
         vector[3] = value
-        bad = dataclasses.replace(index.entries[1], embedding=vector)
-        rewrite_line(path, 2, embedding=(vector.tolist() if version == 1
-                                         else bad.to_record()["embedding"]))
-        with pytest.raises(IndexIntegrityError, match=f"{path}:3: corrupt.*not finite"):
+        bad = dataclasses.replace(index.entries[entry], embedding=vector)
+        rewrite_line(path, entry + 1, embedding=bad.to_record()["embedding"])
+        with pytest.raises(IndexIntegrityError,
+                           match=f"{path}:{entry + 2}: corrupt.*not finite"):
             VectorIndex.load(path)
 
     def test_unknown_version_refused(self, corpus, embedder, tmp_path):
@@ -516,16 +547,17 @@ class TestBuildAndPersist:
         message = str(exc.value)
         assert str(path) in message
         assert "version 99" in message
-        assert "versions 1, 2" in message
+        assert "version 2 only" in message
         assert "lsast index" in message
 
-    def test_version_1_float_list_file_loads_bitwise(self, corpus, embedder, tmp_path):
+    def test_version_1_file_refused_with_its_rebuild_message(self, corpus, embedder, tmp_path):
         index, _ = VectorIndex.build(corpus, IndexKind.ABSTRACTION,
                                      llm=MockGateway(), embedder=embedder)
-        loaded = VectorIndex.load(write_version_1(index, tmp_path / "v1.jsonl"))
-        assert [e.sequence for e in loaded.entries] == [e.sequence for e in index.entries]
-        for original, restored in zip(index.entries, loaded.entries):
-            assert restored.embedding.tobytes() == original.embedding.tobytes()
+        path = write_version_1(index, tmp_path / "v1.jsonl")
+        with pytest.raises(IndexIntegrityError) as exc:
+            VectorIndex.load(path)
+        assert str(exc.value) == (f"index file {path} has version 1; this lsast reads "
+                                  "version 2 only. Rebuild it with `lsast index`.")
 
     def test_entries_share_the_index_matrix(self, corpus, embedder):
         index, _ = VectorIndex.build(corpus, IndexKind.FUNCTIONALITY,

@@ -1,7 +1,19 @@
+import os
+import subprocess
+import sys
 import threading
 
 from lsast.errors import CorpusError
-from lsast.jsonio import replacing
+from lsast.gateway import MockGateway
+from lsast.index import IndexKind, VectorIndex
+from lsast.jsonio import remove_stale_temps, replacing
+
+
+def finished_pid() -> int:
+    """The pid of a child process that has exited and been reaped."""
+    child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                           capture_output=True, text=True, check=True, timeout=60)
+    return int(child.stdout)
 
 
 def test_concurrent_writers_of_one_path_get_distinct_temp_files(tmp_path):
@@ -24,3 +36,36 @@ def test_concurrent_writers_of_one_path_get_distinct_temp_files(tmp_path):
     assert temps["a"] != temps["b"]
     assert path.read_text(encoding="utf-8") in ("a" * 1000, "b" * 1000)
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_stale_temp_files_of_dead_writers_are_removed(tmp_path):
+    path = tmp_path / "functionality.jsonl"
+    path.write_text("kept\n", encoding="utf-8")
+    dead = finished_pid()
+    stale = tmp_path / f"functionality.jsonl.{dead}-17.tmp"
+    kept = [
+        tmp_path / f"functionality.jsonl.{os.getpid()}-17.tmp",  # this process's
+        tmp_path / f"functionality.jsonl.{os.getppid()}-17.tmp",  # a live process's
+        tmp_path / f"abstraction.jsonl.{dead}-17.tmp",  # another file's
+        tmp_path / f"functionality.jsonl.x{dead}-17.tmp",  # not a pid
+    ]
+    for tmp in [stale, *kept]:
+        tmp.write_text("partial", encoding="utf-8")
+    remove_stale_temps(path)
+    assert not stale.exists()
+    assert all(tmp.exists() for tmp in kept)
+    assert path.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_catalog_and_index_writes_remove_stale_temp_files(corpus, embedder, tmp_path):
+    index, _ = VectorIndex.build(corpus, IndexKind.FUNCTIONALITY, llm=MockGateway(),
+                                 embedder=embedder)
+    path = tmp_path / "indexes" / "functionality.jsonl"
+    path.parent.mkdir()
+    dead = finished_pid()
+    stale = [p.with_name(f"{p.name}.{dead}-17.tmp") for p in (path, corpus._snippets_path)]
+    for tmp in stale:
+        tmp.write_text("partial", encoding="utf-8")
+    index.save(path)
+    corpus.build_snippet_catalog(llm=MockGateway())
+    assert not any(tmp.exists() for tmp in stale)

@@ -884,30 +884,35 @@ class DerivationRecorder(MockGateway):
         return super().complete(prompt)
 
 
-class TestDeriveAhead:
-    def _targets(self, tmp_path, tags):
-        targets = []
-        for position, tag in enumerate(tags):
-            path = tmp_path / f"t{position:02d}.js"
-            path.write_text(f"var tag_{tag} = req.query.a + '{tag}';\ndb.query(tag_{tag});\n")
-            targets.append(path)
-        return targets
+def tagged_targets(tmp_path, tags):
+    """One file per tag, in order; files of one tag are byte-identical."""
+    targets = []
+    for position, tag in enumerate(tags):
+        path = tmp_path / f"t{position:02d}.js"
+        path.write_text(f"var tag_{tag} = req.query.a + '{tag}';\ndb.query(tag_{tag});\n")
+        targets.append(path)
+    return targets
 
-    def _serial(self, targets, mode, context, gateway=MockGateway):
-        """Each target scanned alone by run_scan, with a cache and gateway of its own."""
-        outcomes = []
-        for target in targets:
-            lone = dataclasses.replace(context, gateway=gateway(), cache=DerivationCache())
-            try:
-                outcomes.append(record_essence(run_scan(target, mode, 2, lone).to_dict()))
-            except ScanError as exc:
-                outcomes.append(str(exc))
-        return outcomes
+
+def lone_outcomes(targets, mode, context, gateway=MockGateway):
+    """Each target scanned alone by run_scan, with a cache and gateway of its own:
+    its record essence, or its ScanError's message."""
+    outcomes = []
+    for target in targets:
+        lone = dataclasses.replace(context, gateway=gateway(), cache=DerivationCache())
+        try:
+            outcomes.append(record_essence(run_scan(target, mode, 2, lone).to_dict()))
+        except ScanError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+class TestDeriveAhead:
 
     def test_later_targets_derive_off_the_scan_thread_once_per_key(self, tmp_path, context):
         # 24 targets over 10 distinct texts; position 0's text appears nowhere else
         tags = [0] + [1 + i % 9 for i in range(23)]
-        targets = self._targets(tmp_path, tags)
+        targets = tagged_targets(tmp_path, tags)
         keys = 2 * len(set(tags))
         context.gateway = DerivationRecorder(ready=lambda r: len(r.derivations) == keys)
         results = run_scan_batch(targets, RetrievalMode.COMBINED, k=2, context=context)
@@ -918,14 +923,14 @@ class TestDeriveAhead:
         scan_thread = threading.current_thread()
         assert [tag for _, tag, thread in derivations if thread is scan_thread] == [0, 0]
         assert context.gateway.first_scan_waited is True
-        assert [record_essence(r.to_dict()) for r in results] == self._serial(
+        assert [record_essence(r.to_dict()) for r in results] == lone_outcomes(
             targets, RetrievalMode.COMBINED, context)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_failed_derivation_ahead_fails_its_target_as_a_lone_scan(self, tmp_path, context,
                                                                      parallelism):
         tags = [0, 1, 2, 3, 4, 5]
-        targets = self._targets(tmp_path, tags)
+        targets = tagged_targets(tmp_path, tags)
         context.gateway = DerivationRecorder(
             ready=lambda r: any(tag == 4 and thread is not scan_thread
                                 for _, tag, thread in r.derivations),
@@ -936,7 +941,7 @@ class TestDeriveAhead:
         failure = results[4]
         assert isinstance(failure, ScanFailure)
         assert failure.error_type == "ScanError"
-        serial = self._serial(targets, RetrievalMode.FUNCTIONALITY, context,
+        serial = lone_outcomes(targets, RetrievalMode.FUNCTIONALITY, context,
                               lambda: DerivationRecorder(empty_summary_for=4))
         assert failure.error == serial[4]
         assert "functionality summary came back empty" in failure.error
@@ -958,7 +963,7 @@ class TestDeriveAhead:
                     raise RuntimeError("gateway bug")
                 return super().complete(prompt)
 
-        targets = self._targets(tmp_path, range(12))
+        targets = tagged_targets(tmp_path, [n % 6 for n in range(12)])
         context.gateway = Gateway()
         before = set(threading.enumerate())
         expected = {"success": None, "all_failed": ScanError, "gateway_bug": RuntimeError}[case]
@@ -976,7 +981,7 @@ class TestDeriveAhead:
     @pytest.mark.parametrize("mode", [RetrievalMode.FUNCTIONALITY, RetrievalMode.COMBINED_LSAST])
     def test_refused_batch_makes_no_model_call(self, tmp_path, context, report_dicts,
                                                fault, mode):
-        targets = self._targets(tmp_path, range(8))
+        targets = tagged_targets(tmp_path, range(8))
         k = 2
         if fault == "stale_index":
             source = tmp_path / "extra.json"
@@ -989,3 +994,92 @@ class TestDeriveAhead:
         with pytest.raises(ScanError):
             run_scan_batch(targets, mode, k=k, context=context)
         assert context.gateway.call_count == 0
+
+
+SCAN_MARKER = "You are a very efficient vulnerability scanner."
+
+
+class ScanCounter(MockGateway):
+    """MockGateway that answers scans with one finding and records each scan
+    prompt's digest. With `before_failing`, its first scan call fails once
+    `before_failing()` has returned true."""
+
+    def __init__(self, before_failing=None):
+        super().__init__("CWE-ID: CWE-89\nReason: query built from input\nline: 2\n"
+                         "code-snippet: db.query(x)")
+        self.scans = []
+        self.before_failing = before_failing
+
+    def complete(self, prompt):
+        if SCAN_MARKER in prompt:
+            with self._lock:
+                self.scans.append(hashlib.sha256(prompt.encode("utf-8")).hexdigest())
+                first = len(self.scans) == 1
+            if first and self.before_failing is not None:
+                assert self.before_failing()
+                raise GatewayError("scan call refused")
+        return super().complete(prompt)
+
+
+class TestScanReplies:
+    """A batch asks the model once per distinct scan prompt."""
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_one_scan_call_per_distinct_prompt(self, tmp_path, context, parallelism):
+        targets = tagged_targets(tmp_path, [0, 1, 0, 2, 1, 0, 0])
+        context.scanner = lambda target: [finding_in(t.name, line=2) for t in targets]
+        context.gateway = ScanCounter()
+        mode = RetrievalMode.COMBINED_LSAST
+        results = run_scan_batch(targets, mode, k=2, context=context, parallelism=parallelism)
+        assert all(isinstance(r, ScanResult) and r.predicted for r in results)
+        assert sorted(context.gateway.scans) == sorted({r.prompt_digest for r in results})
+        assert len(context.gateway.scans) == 3
+        assert [record_essence(r.to_dict()) for r in results] == lone_outcomes(
+            targets, mode, context, ScanCounter)
+
+    def test_identical_code_with_other_findings_is_asked_again(self, tmp_path, context):
+        # the key is the prompt, not the code
+        first, second = tagged_targets(tmp_path, [0, 0])
+        context.scanner = lambda target: [finding_in(first.name, line=1),
+                                          finding_in(second.name, line=2)]
+        context.gateway = ScanCounter()
+        results = run_scan_batch([first, second], RetrievalMode.RAW_LSAST, context=context,
+                                 parallelism=2)
+        assert results[0].prompt_digest != results[1].prompt_digest
+        assert sorted(context.gateway.scans) == sorted(r.prompt_digest for r in results)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_failed_scan_call_is_made_again_by_its_duplicate(self, tmp_path, context,
+                                                             parallelism):
+        entered = []
+        changed = threading.Condition()
+
+        class CountingCache(DerivationCache):
+            def scan_reply(self, prompt, prompt_digest, llm):
+                with changed:
+                    entered.append(prompt_digest)
+                    changed.notify_all()
+                return super().scan_reply(prompt, prompt_digest, llm)
+
+        targets = tagged_targets(tmp_path, [0, 0])
+        context.scanner = lambda target: [finding_in(t.name, line=2) for t in targets]
+
+        def duplicate_asked():
+            # at parallelism 2 the first call fails only once the duplicate waits on it
+            with changed:
+                return changed.wait_for(lambda: len(entered) == parallelism, timeout=10)
+
+        context.gateway = gateway = ScanCounter(before_failing=duplicate_asked)
+        context.cache = CountingCache()
+        mode = RetrievalMode.RAW_LSAST
+        results = run_scan_batch(targets, mode, k=2, context=context, parallelism=parallelism)
+
+        (failure,) = [r for r in results if isinstance(r, ScanFailure)]
+        (result,) = [r for r in results if isinstance(r, ScanResult)]
+        assert len(gateway.scans) == 2
+        assert gateway.scans[0] == gateway.scans[1] == result.prompt_digest
+        assert [failure.error] == lone_outcomes(
+            [Path(failure.target_path)], mode, context,
+            lambda: ScanCounter(before_failing=lambda: True))
+        assert [record_essence(result.to_dict())] == lone_outcomes(
+            [Path(result.target_path)], mode, context, ScanCounter)
