@@ -30,6 +30,7 @@ from .evaluation import (
     render_metrics_table,
     truth_from_findings,
     validate_label,
+    validate_withdrawal,
 )
 from .gateway import ChatClient, MockGateway, render_finding
 from .index import HttpEmbedder, IndexKind, OfflineEmbedder, VectorIndex
@@ -48,8 +49,6 @@ from .sast import (
     parse_scanner_report,
     run_external_scanner,
 )
-
-logger = logging.getLogger(__name__)
 
 MODE_NAMES = [mode.value for mode in RetrievalMode]
 
@@ -105,6 +104,10 @@ def _print_warnings(warnings):
 def cmd_ingest(args, config: Config) -> int:
     if not args.reports and not args.fetch:
         raise ConfigurationError("nothing to ingest; pass --reports and/or --fetch")
+    if args.fetch and not config.fetch_endpoint:
+        raise ConfigurationError("--fetch needs fetch_endpoint in the config")
+    if args.fetch and bool(args.since) != bool(args.until):
+        raise ConfigurationError("--since and --until must be given together")
     corpus = ReportCorpus(config.corpus_dir)
 
     if args.reports:
@@ -114,16 +117,9 @@ def cmd_ingest(args, config: Config) -> int:
               f"reports ({summary.skipped} records skipped)")
 
     if args.fetch:
-        if not config.fetch_endpoint:
-            raise ConfigurationError("--fetch needs fetch_endpoint in the config")
-        window = None
-        if args.since or args.until:
-            if not (args.since and args.until):
-                raise ConfigurationError("--since and --until must be given together")
-            window = (args.since, args.until)
         records = fetch_reports_remote(
-            config.fetch_endpoint, time_window=window, page_limit=args.page_limit,
-            retries=config.retries,
+            config.fetch_endpoint, time_window=(args.since, args.until) if args.since else None,
+            page_limit=args.page_limit, retries=config.retries,
         )
         summary = corpus.ingest_records(records)
         _print_warnings(summary.warnings)
@@ -141,11 +137,9 @@ def cmd_ingest(args, config: Config) -> int:
 # -- index --------------------------------------------------------------------
 
 def cmd_index(args, config: Config) -> int:
-    corpus = ReportCorpus(config.corpus_dir)
+    corpus = _existing_corpus(config)
     if len(corpus) == 0:
-        raise ConfigurationError(
-            f"corpus at {config.corpus_dir} is empty; run ingest first"
-        )
+        raise ConfigurationError(f"corpus at {config.corpus_dir} is empty; run ingest first")
     gateway = make_gateway(config)
     embedder = make_embedder(config)
     kinds = list(IndexKind) if args.kind == "both" else [IndexKind(args.kind)]
@@ -377,6 +371,7 @@ def cmd_label(args, config: Config) -> int:
     # Validate the reference before writing anything.
     scans = load_scan_directory(config.scan_dir)
     validate_label(label, {scan.record_id: scan.result for scan in scans})
+    validate_withdrawal(label, load_labels(labels_path) if labels_path.exists() else [])
     append_label(labels_path, label)
     print(f"recorded {verdict.value} for {args.record} finding {finding_index}")
     return 0

@@ -11,7 +11,6 @@ negatives never arise. Ratios with a zero denominator are defined as 0 and
 flagged rather than left undefined, keeping table rendering total.
 """
 
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -20,8 +19,6 @@ from .gateway import PredictedFinding
 from .index import IndexKind
 from .jsonio import append_jsonl, read_jsonl
 from .sast import Finding, normalize_cwe
-
-logger = logging.getLogger(__name__)
 
 # The five measures in table order, as (MetricsReport field, table title).
 METRICS = (
@@ -217,6 +214,19 @@ def validate_label(label: EvalLabel, records):
                 f"record {label.record_id!r} has {findings} findings; "
                 f"index {label.finding_index} is out of range"
             )
+
+
+def validate_withdrawal(label: EvalLabel, labels: list[EvalLabel]):
+    """Refuse a duplicate label at finding -1 that withdraws none of `labels`' misses.
+
+    Such a label cancels the false_negative label of its record with its
+    note (see confusion_from_labels); every other label passes.
+    """
+    miss = (label.record_id, Verdict.FALSE_NEGATIVE, label.note)
+    if (label.verdict is Verdict.DUPLICATE and label.finding_index == -1
+            and miss not in {(old.record_id, old.verdict, old.note) for old in labels}):
+        raise EvaluationError(f"record {label.record_id!r} has no false_negative label "
+                              f"with note {label.note!r} for a duplicate at -1 to withdraw")
 
 
 def confusion_from_labels(labels: list[EvalLabel], records) -> ConfusionCounts:

@@ -493,17 +493,8 @@ class VectorIndex:
             logger.warning(
                 "index build degraded: %d/%d derivations failed", len(failures), attempted
             )
-        index = cls(
-            kind=kind,
-            dimension=embedder.dimension,
-            embedder_id=embedder.identity,
-            corpus_digest=corpus_digest,
-            entries=entries,
-        )
-        summary = BuildSummary(
-            entries=len(entries), skipped=skipped, failures=failures, degraded=degraded
-        )
-        return index, summary
+        index = cls(kind, embedder.dimension, embedder.identity, corpus_digest, entries)
+        return index, BuildSummary(len(entries), skipped, failures, degraded)
 
     # -- persistence ------------------------------------------------------
 
@@ -621,6 +612,14 @@ class VectorIndex:
             for i in order
         ]
 
+    def check_embedder(self, embedder):
+        """Raise EmbedderMismatchError unless `embedder` built this index."""
+        if embedder.identity != self.embedder_id:
+            raise EmbedderMismatchError(
+                f"index built with embedder {self.embedder_id!r}, "
+                f"search attempted with {embedder.identity!r}"
+            )
+
     def search(self, query_text: str, k: int, llm, embedder,
                cache: DerivationCache | None = None) -> list[SearchHit]:
         """Derive the query with this index's own derivation, embed, and rank.
@@ -630,11 +629,7 @@ class VectorIndex:
                 index.
             SearchError: abstraction derivation found no code in the query.
         """
-        if embedder.identity != self.embedder_id:
-            raise EmbedderMismatchError(
-                f"index built with embedder {self.embedder_id!r}, "
-                f"search attempted with {embedder.identity!r}"
-            )
+        self.check_embedder(embedder)
         cache = cache or DerivationCache()
         derived = cache.derive(self.kind, query_text, llm)
         if derived is None:

@@ -11,12 +11,12 @@ Each mode fixes which ingredients join the target code in the prompt:
     combined             code + both report sets
     combined_lsast       code + both report sets + scanner findings
 
-Dependencies are validated before any model call: a retrieval mode without
-its index fails fast instead of silently degrading to raw, because silent
-mode drift would invalidate downstream evaluations.
+Dependencies are validated before the scanner or the model is called: a
+retrieval mode without its index, or with an index of another embedder,
+fails fast instead of silently degrading, because silent mode drift would
+invalidate downstream evaluations.
 """
 
-import contextlib
 import hashlib
 import json
 import logging
@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 
-from .annotate import DEFAULT_LINE_BUDGET, annotate_lines
+from .annotate import DEFAULT_LINE_BUDGET, AnnotatedSource, annotate_lines
 from .errors import (
     ConfigurationError,
     DerivationError,
@@ -207,6 +207,18 @@ def _validate_dependencies(mode: RetrievalMode, k: int, context: ScanContext | N
             raise ConfigurationError(
                 f"{kind.value} index was built against a different corpus state; rebuild it"
             )
+        index.check_embedder(context.embedder)
+
+
+def _read_target(target: Path, line_budget: int) -> tuple[str, AnnotatedSource]:
+    """The target's text and annotation; raises as `run_scan` for a target no scan takes."""
+    try:
+        source = target.read_text(encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise ScanError(f"cannot read target {target}: {exc}") from None
+    if not source.strip():
+        raise ScanError(f"target {target} is empty")
+    return source, annotate_lines(source, line_budget)
 
 
 def _merge_retrievals(*pair_lists) -> list:
@@ -249,24 +261,20 @@ def run_scan(target, mode: RetrievalMode, k: int = DEFAULT_K,
     already sent is answered from the stored reply, parsed anew.
 
     Raises:
-        ConfigurationError: a dependency the mode needs is missing or stale
-            (raised before any model call).
+        ConfigurationError: a dependency the mode needs is missing or stale.
+        EmbedderMismatchError: an index of the mode was built with another
+            embedder. This and ConfigurationError come before the scanner
+            runs or the model is asked.
         ScanError: the target is unreadable or blank (whitespace only), a
             retrieval step failed, or the scan call failed; scan-call
             failures carry a partial result with the retrievals preserved.
+        AnnotationError: the target exceeds `context.line_budget` lines.
     """
     mode = RetrievalMode(mode)
     t_start = time.monotonic()
     _validate_dependencies(mode, k, context)
-
     target = Path(target)
-    try:
-        source = target.read_text(encoding="utf-8", errors="replace")
-    except OSError as exc:
-        raise ScanError(f"cannot read target {target}: {exc}") from None
-    if not source.strip():
-        raise ScanError(f"target {target} is empty")
-    annotated = annotate_lines(source, context.line_budget)
+    source, annotated = _read_target(target, context.line_budget)
 
     timings = {}
     scanner_findings: list[Finding] = []
@@ -361,39 +369,32 @@ def expand_targets(targets) -> list[Path]:
 
 
 def _derive_ahead(targets: list, mode: RetrievalMode, k: int,
-                  context: ScanContext | None) -> Workers | None:
+                  context: ScanContext | None) -> Workers:
     """Start deriving `targets`' query keys into `context.cache`, in order.
 
-    Returns the running workers, or None when there is nothing to derive or
-    the mode's dependencies fail validation, which every scan then reports
-    before any model call. A target that cannot be read, or is blank, is
-    left to its scan to fail. The workers skip a key that is stored or in
-    flight, and all of them retire once their calls turn out CPU-bound,
-    since a thread beside a CPU-bound scan only slows it.
+    Returns the running workers, over no targets in a mode without retrieval
+    or when the mode's dependencies fail validation, which every scan then
+    reports before any model call. They skip a target that its scan refuses
+    before retrieval, and a key that is stored or in flight. All of them
+    retire once their calls turn out CPU-bound, since a thread beside a
+    CPU-bound scan only slows it.
     """
-    if not mode.index_kinds or not targets:
-        return None
     try:
         _validate_dependencies(mode, k, context)
     except LsastError:
-        return None
-    if any(context.index_for(kind).embedder_id != context.embedder.identity
-           for kind in mode.index_kinds):
-        return None  # every search refuses this embedder before deriving
+        targets = []
 
     def derive_keys(target: Path) -> bool:
         try:
-            source = target.read_text(encoding="utf-8", errors="replace")
-        except OSError:
-            return False
-        if not source.strip():
+            source, _ = _read_target(target, context.line_budget)
+        except LsastError:
             return False
         # a list, not a generator: any() must not skip the later kinds
         derived = [context.cache.derive_ahead(kind, source, context.gateway)
                    for kind in mode.index_kinds]
         return any(derived)
 
-    return Workers(derive_keys, targets, floor=0, judged=bool)
+    return Workers(derive_keys, targets if mode.index_kinds else [], floor=0, judged=bool)
 
 
 def run_scan_batch(targets, mode: RetrievalMode, k: int = DEFAULT_K,
@@ -401,22 +402,21 @@ def run_scan_batch(targets, mode: RetrievalMode, k: int = DEFAULT_K,
                    parallelism: int = 1) -> list:
     """Scan many targets; results in input order, failures recorded inline.
 
-    Up to `parallelism` targets scan at once. In a retrieval mode, up to
-    SETUP_WORKERS threads meanwhile derive the query keys of the targets
-    from position `parallelism` on (see `_derive_ahead`), so a batch keeps
-    up to `parallelism` + SETUP_WORKERS model calls in flight. A scan whose
-    key is in flight waits for it, and one whose key no worker has reached
-    derives it itself. Scan prompts are shared the same way, so each
+    The scans run on a pool of `parallelism` threads. In a retrieval mode,
+    up to SETUP_WORKERS threads meanwhile derive the query keys of the
+    targets from position `parallelism` on (see `_derive_ahead`), so a batch
+    keeps up to `parallelism` + SETUP_WORKERS model calls in flight. A scan
+    whose key is in flight waits for it, and one whose key no worker has
+    reached derives it itself. Scan prompts are shared the same way, so each
     distinct key and each distinct scan prompt costs one model call unless
-    that call fails, and every result equals that of a lone `run_scan`.
+    that call fails, a target that its scan refuses before retrieval costs
+    none, and every result equals that of a lone `run_scan`.
 
     Returns a list whose elements are ScanResult or ScanFailure. Raises
     ScanError only when every target failed (and there was at least one).
     """
     mode = RetrievalMode(mode)
     expanded = expand_targets(targets)
-    if not expanded:
-        return []
 
     def scan_one(target):
         try:
@@ -428,14 +428,11 @@ def run_scan_batch(targets, mode: RetrievalMode, k: int = DEFAULT_K,
             )
 
     workers = max(1, parallelism)
-    with _derive_ahead(expanded[workers:], mode, k, context) or contextlib.nullcontext():
-        if workers == 1:
-            results = list(map(scan_one, expanded))
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(scan_one, expanded))
+    with _derive_ahead(expanded[workers:], mode, k, context), \
+            ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(scan_one, expanded))
 
-    if all(isinstance(r, ScanFailure) for r in results):
+    if results and all(isinstance(r, ScanFailure) for r in results):
         first = results[0]
         raise ScanError(
             f"all {len(results)} targets failed; first: {first.target_path}: {first.error}"

@@ -129,9 +129,15 @@ class TestExitCodes:
                    "--mode", "telepathy") == 2
 
     def test_domain_error_is_one(self, workspace, capsys):
-        # index before ingest: empty corpus
+        # index before ingest: no corpus, and none is left behind
         assert run(workspace, "index") == 1
         assert "run ingest first" in capsys.readouterr().err
+        assert not (Path(workspace["config"]).parent / "corpus").exists()
+
+    def test_fetch_without_endpoint_leaves_no_corpus(self, workspace, capsys):
+        assert run(workspace, "ingest", "--reports", workspace["reports"], "--fetch") == 1
+        assert "--fetch needs fetch_endpoint" in capsys.readouterr().err
+        assert not (Path(workspace["config"]).parent / "corpus").exists()
 
     def test_index_without_catalog_fails(self, workspace, capsys):
         assert run(workspace, "ingest", "--reports", workspace["reports"],
@@ -173,7 +179,8 @@ class TestExitCodes:
         config = json.loads(Path(workspace["config"]).read_text())
         config["corpus_dir"] = str(tmp_path / "afile" / "corpus")
         Path(workspace["config"]).write_text(json.dumps(config))
-        assert run(workspace, "index") == 1
+        # ingest is the one command that creates the corpus
+        assert run(workspace, "ingest", "--reports", workspace["reports"]) == 1
         assert "error: cannot create corpus directory" in capsys.readouterr().err
 
     def test_scan_failure_exits_one(self, workspace, capsys):
@@ -295,6 +302,24 @@ class TestEvalRegimes:
         assert run(workspace, "label", "--labels", str(labels), "--record", record_id,
                    "--verdict", "tp", "--finding", "-1") == 1
         assert "need a finding" in capsys.readouterr().err
+
+    def test_withdrawal_that_names_no_miss_refused(self, workspace, capsys, tmp_path):
+        record_id = self._scanned(workspace, capsys)
+        labels = tmp_path / "labels.jsonl"
+
+        def label(verdict, note):
+            return run(workspace, "label", "--labels", str(labels), "--record", record_id,
+                       "--verdict", verdict, "--finding", "-1", "--note", note)
+
+        assert label("duplicate", "missed sqli") == 1  # no labels file yet
+        assert not labels.exists()
+        assert label("fn", "missed sqli") == 0
+        written = labels.read_text()
+        capsys.readouterr()
+        assert label("duplicate", "missed sqlj") == 1
+        err = capsys.readouterr().err
+        assert record_id in err and "'missed sqlj'" in err
+        assert labels.read_text() == written
 
     def test_rerun_records_counted_once(self, workspace, capsys, tmp_path):
         target = tmp_path / "t.js"

@@ -20,6 +20,7 @@ from lsast.evaluation import (
     render_metrics_table,
     truth_from_findings,
     validate_label,
+    validate_withdrawal,
 )
 from lsast.gateway import PredictedFinding
 from lsast.sast import Finding
@@ -307,6 +308,18 @@ class TestLabels:
                 ([EvalLabel("rec-a", -1, dup, "x")], 0),
             ]:
                 assert confusion_from_labels(labels, records).fn == misses
+
+    def test_withdrawal_needs_a_miss_with_its_note(self):
+        fn, dup = Verdict.FALSE_NEGATIVE, Verdict.DUPLICATE
+        recorded = [EvalLabel("rec-a", -1, fn, "x"), EvalLabel("rec-b", -1, fn, "y")]
+        validate_withdrawal(EvalLabel("rec-a", -1, dup, "x"), recorded)
+        validate_withdrawal(EvalLabel("rec-a", 0, dup, "y"), [])  # not a withdrawal
+        validate_withdrawal(EvalLabel("rec-a", -1, fn, "z"), [])
+        for withdrawal in (EvalLabel("rec-a", -1, dup, "y"), EvalLabel("rec-b", -1, dup, "x"),
+                           EvalLabel("rec-a", -1, dup, "x ")):
+            with pytest.raises(EvaluationError, match=f"{withdrawal.record_id!r}.*"
+                                                      f"{withdrawal.note!r}"):
+                validate_withdrawal(withdrawal, recorded)
 
     @pytest.mark.parametrize("verdict", [Verdict.TRUE_POSITIVE, Verdict.FALSE_POSITIVE])
     def test_tp_and_fp_refused_at_minus_one(self, verdict):

@@ -11,7 +11,14 @@ import pytest
 
 from lsast import pipeline
 from lsast.cli import main
-from lsast.errors import ConfigurationError, GatewayError, RecordIntegrityError, ScanError
+from lsast.errors import (
+    AnnotationError,
+    ConfigurationError,
+    EmbedderMismatchError,
+    GatewayError,
+    RecordIntegrityError,
+    ScanError,
+)
 from lsast.gateway import MockGateway, PredictedFinding
 from lsast.index import DerivationCache, IndexKind, OfflineEmbedder, VectorIndex
 from lsast.jsonio import canonical_json, replacing
@@ -132,6 +139,18 @@ class TestValidation:
     def test_k_validated(self, js_target, context):
         with pytest.raises(ConfigurationError):
             run_scan(js_target, RetrievalMode.RAW, k=0, context=context)
+
+    @pytest.mark.parametrize("mode", [RetrievalMode.FUNCTIONALITY_LSAST,
+                                      RetrievalMode.ABSTRACTION_LSAST,
+                                      RetrievalMode.COMBINED_LSAST])
+    def test_other_embedder_refused_before_the_scanner(self, js_target, context, mode):
+        scanned = []
+        context.scanner = lambda target: scanned.append(target) or []
+        context.embedder = OfflineEmbedder(seed=999)
+        with pytest.raises(EmbedderMismatchError, match="search attempted with"):
+            run_scan(js_target, mode, context=context)
+        assert scanned == []
+        assert context.gateway.call_count == 0
 
 
 class TestRunScan:
@@ -849,8 +868,9 @@ class TestHotPath:
 
 
 class DerivationRecorder(MockGateway):
-    """MockGateway that records each derivation's (kind, tag, thread) and
-    holds the first scan call until `ready()` holds.
+    """MockGateway that records each derivation's (kind, tag, thread) and the
+    threads of its scan calls, and holds the first scan call until `ready()`
+    holds.
 
     A target's tag is the number in its `var tag_<n>` line. Each derivation
     sleeps a few milliseconds, as a model server would; `empty_summary_for`
@@ -863,11 +883,13 @@ class DerivationRecorder(MockGateway):
         self.ready = ready
         self.empty_summary_for = empty_summary_for
         self.first_scan_waited = None
+        self.scan_threads = set()
         self._changed = threading.Condition()
 
     def complete(self, prompt):
         if "You are a very efficient vulnerability scanner." in prompt:
             with self._changed:
+                self.scan_threads.add(threading.current_thread())
                 if self.first_scan_waited is None:
                     self.first_scan_waited = self._changed.wait_for(
                         lambda: self.ready(self), timeout=5)
@@ -920,7 +942,7 @@ class TestDeriveAhead:
         derivations = context.gateway.derivations
         assert sorted((kind.value, tag) for kind, tag, _ in derivations) == sorted(
             (kind.value, tag) for kind in IndexKind for tag in set(tags))
-        scan_thread = threading.current_thread()
+        (scan_thread,) = context.gateway.scan_threads
         assert [tag for _, tag, thread in derivations if thread is scan_thread] == [0, 0]
         assert context.gateway.first_scan_waited is True
         assert [record_essence(r.to_dict()) for r in results] == lone_outcomes(
@@ -952,14 +974,19 @@ class TestDeriveAhead:
         assert [tag for _, tag, _ in context.gateway.derivations].count(4) == 2
 
     @pytest.mark.parametrize("parallelism", [1, 2])
-    @pytest.mark.parametrize("case", ["success", "all_failed", "gateway_bug"])
+    @pytest.mark.parametrize("case", ["success", "all_failed", "gateway_bug",
+                                      "raw_success", "raw_all_failed", "raw_gateway_bug"])
     def test_no_thread_left_behind(self, tmp_path, context, case, parallelism):
+        # a raw batch derives nothing, so its gateway bug strikes the scan call
+        mode = RetrievalMode.RAW if case.startswith("raw_") else RetrievalMode.COMBINED
+        case = case.removeprefix("raw_")
+
         class Gateway(DerivationRecorder):
             def complete(self, prompt):
                 scan = "You are a very efficient vulnerability scanner." in prompt
                 if case == "all_failed" and scan:
                     raise GatewayError("scan call refused")
-                if case == "gateway_bug" and not scan:
+                if case == "gateway_bug" and not (scan and mode.index_kinds):
                     raise RuntimeError("gateway bug")
                 return super().complete(prompt)
 
@@ -968,13 +995,12 @@ class TestDeriveAhead:
         before = set(threading.enumerate())
         expected = {"success": None, "all_failed": ScanError, "gateway_bug": RuntimeError}[case]
         if expected is None:
-            results = run_scan_batch(targets, RetrievalMode.COMBINED, k=2, context=context,
+            results = run_scan_batch(targets, mode, k=2, context=context,
                                      parallelism=parallelism)
             assert all(isinstance(r, ScanResult) for r in results)
         else:
             with pytest.raises(expected):
-                run_scan_batch(targets, RetrievalMode.COMBINED, k=2, context=context,
-                               parallelism=parallelism)
+                run_scan_batch(targets, mode, k=2, context=context, parallelism=parallelism)
         assert set(threading.enumerate()) == before
 
     @pytest.mark.parametrize("fault", ["stale_index", "other_embedder", "k_zero"])
@@ -994,6 +1020,37 @@ class TestDeriveAhead:
         with pytest.raises(ScanError):
             run_scan_batch(targets, mode, k=k, context=context)
         assert context.gateway.call_count == 0
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_target_over_the_line_budget_derives_nothing(self, tmp_path, context,
+                                                          parallelism):
+        # targets of 2 lines, and at positions 2, 3 and 5 targets of 4 lines
+        targets = tagged_targets(tmp_path, range(8))
+        for position in (2, 3, 5):
+            with targets[position].open("a") as target:
+                target.write("res.send(1);\nres.send(2);\n")
+        context.line_budget = 3
+        accepted = len(targets) - 3
+        # the first scan call waits until every accepted target's keys are derived
+        context.gateway = DerivationRecorder(
+            ready=lambda r: len(r.derivations) >= 2 * accepted)
+        mode = RetrievalMode.COMBINED
+        results = run_scan_batch(targets, mode, k=2, context=context, parallelism=parallelism)
+
+        lone_calls = 0
+        for target, result in zip(targets, results):
+            lone = dataclasses.replace(context, gateway=MockGateway(), cache=DerivationCache())
+            if isinstance(result, ScanFailure):
+                assert result.error_type == "AnnotationError"
+                with pytest.raises(AnnotationError, match="line budget of 3"):
+                    run_scan(target, mode, 2, lone)
+            else:
+                assert record_essence(result.to_dict()) == record_essence(
+                    run_scan(target, mode, 2, lone).to_dict())
+            lone_calls += lone.gateway.call_count
+        assert [isinstance(r, ScanFailure) for r in results].count(True) == 3
+        assert context.gateway.first_scan_waited is True
+        assert context.gateway.call_count == lone_calls == 3 * accepted
 
 
 SCAN_MARKER = "You are a very efficient vulnerability scanner."

@@ -138,6 +138,15 @@ class TestParseScannerReport:
         assert report.findings == []
         assert report.warnings
 
+    @pytest.mark.parametrize("field", [{"line_number": "²"}, {"source": {"start": "²"}}])
+    def test_non_decimal_digit_line_skipped_with_warning(self, field):
+        # "²".isdigit() holds, yet int("²") raises
+        records = [{"id": "r", "cwe_ids": ["78"], "full_filename": "a.js", **field},
+                   {"id": "s", "cwe_ids": ["89"], "full_filename": "a.js", "line_number": 3}]
+        report = parse_scanner_report(json.dumps(records))
+        assert [f.line_start for f in report.findings] == [3]
+        assert [w.split(":")[0] for w in report.warnings] == ["record 0"]
+
     def test_integer_cwe_ids_accepted(self):
         record = [{"id": "r", "cwe_ids": [78, "CWE-89"], "line_number": 1,
                    "full_filename": "a.js"}]
