@@ -6,7 +6,7 @@ prompt with disclosed vulnerability reports selected by functionality or
 code-shape similarity. Eight retrieval modes cover every combination.
 """
 
-from .annotate import AnnotatedSource, annotate_lines, normalize_newlines, strip_annotations
+from .annotate import AnnotatedSource, annotate_lines, normalize_newlines
 from .config import Config, load_config
 from .corpus import (
     CodeSnippet,

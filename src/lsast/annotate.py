@@ -18,8 +18,6 @@ from .errors import AnnotationError
 
 DEFAULT_LINE_BUDGET = 2000
 
-_PREFIX_RE = re.compile(r"^line (\d+): ")
-
 
 @dataclass
 class AnnotatedSource:
@@ -64,25 +62,3 @@ def annotate_lines(source: str, line_budget: int = DEFAULT_LINE_BUDGET) -> Annot
         )
     text = "\n".join(f"line {i}: {line}" for i, line in enumerate(lines, 1))
     return AnnotatedSource(text=text, line_count=len(lines))
-
-
-def strip_annotations(annotated: str) -> str:
-    """Inverse of annotate_lines: recover the original (normalized) source.
-
-    Raises:
-        AnnotationError: when a line lacks the "line <n>: " prefix or the
-            numbering is not 1..n in order; the message names the line index.
-    """
-    if annotated == "":
-        return ""
-    recovered = []
-    for idx, line in enumerate(annotated.split("\n"), 1):
-        match = _PREFIX_RE.match(line)
-        if match is None:
-            raise AnnotationError(f"line {idx}: missing annotation prefix")
-        if int(match.group(1)) != idx:
-            raise AnnotationError(
-                f"line {idx}: expected prefix number {idx}, found {match.group(1)}"
-            )
-        recovered.append(line[match.end():])
-    return "\n".join(recovered)

@@ -19,9 +19,11 @@ import hashlib
 import json
 import os
 import re
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import requests
 
@@ -163,6 +165,13 @@ class CodeSnippet:
         }
 
 
+class _Catalog(NamedTuple):
+    """The snippet catalog as read: its sequences and recorded corpus digest."""
+
+    corpus_digest: str | None
+    sequences: dict[int, CodeSnippet]
+
+
 @dataclass
 class IngestSummary:
     count: int
@@ -225,9 +234,10 @@ class ReportCorpus:
         except OSError as exc:
             raise CorpusError(f"cannot create corpus directory {self.directory}: {exc}") from None
         self._reports: dict[int, VulnerabilityReport] = {}
-        self._sequences: dict[int, CodeSnippet] = {}
-        self._catalog_corpus_digest: str | None = None
         self._digest: str | None = None  # memo of digest(); ingest_records clears it
+        # None until first use, then the catalog or the CorpusError its read raised
+        self._catalog_state: _Catalog | CorpusError | None = None
+        self._catalog_lock = threading.Lock()
         self._load()
 
     # -- persistence ------------------------------------------------------
@@ -251,20 +261,41 @@ class ReportCorpus:
                     ) from None
                 # first occurrence wins, matching ingest semantics
                 self._reports.setdefault(report.id, report)
-        self._load_catalog()
 
-    def _load_catalog(self):
-        self._sequences = {}
-        self._catalog_corpus_digest = None
+    def _catalog(self) -> _Catalog:
+        """The snippet catalog, read on first use and at most once per corpus object.
+
+        Commands that never resolve a snippet (`eval --retrieval`) never pay
+        for it. A failed read is kept, so every later use raises its
+        `path:line` text again.
+
+        Raises:
+            CorpusError: the catalog file is unreadable or corrupt.
+        """
+        if self._catalog_state is None:
+            with self._catalog_lock:
+                if self._catalog_state is None:
+                    try:
+                        self._catalog_state = self._read_catalog()
+                    except CorpusError as exc:
+                        self._catalog_state = exc
+        state = self._catalog_state
+        if isinstance(state, CorpusError):
+            raise CorpusError(str(state)) from None
+        return state
+
+    def _read_catalog(self) -> _Catalog:
         if not self._snippets_path.exists():
-            return
+            return _Catalog(None, {})
+        corpus_digest = None
+        sequences: dict[int, CodeSnippet] = {}
         records = read_jsonl(self._snippets_path, CorpusError)
         for position, (line_no, record) in enumerate(records):
             try:
                 if position == 0:  # the header
-                    self._catalog_corpus_digest = record.get("corpus_digest")
+                    corpus_digest = record.get("corpus_digest")
                     continue
-                self._sequences[record["sequence"]] = CodeSnippet(
+                sequences[record["sequence"]] = CodeSnippet(
                     report_id=record["report_id"],
                     ordinal=record["ordinal"],
                     text=record["text"],
@@ -274,6 +305,7 @@ class ReportCorpus:
                 raise CorpusError(
                     f"{self._snippets_path}:{line_no}: corrupt catalog: {exc}"
                 ) from None
+        return _Catalog(corpus_digest, sequences)
 
     def digest(self) -> str:
         """Content digest over the canonical form of every stored report.
@@ -398,7 +430,8 @@ class ReportCorpus:
         Deterministic for a given corpus state and gateway: reports in stored
         order, snippets by ordinal, sequences starting at 1. Fenced blocks
         are read on the calling thread; the reports without any go to the
-        model up to SETUP_WORKERS at a time (see `map_outcomes`).
+        model up to SETUP_WORKERS at a time (see `map_outcomes`). The
+        previous catalog is never read, so a corrupt one is replaced.
 
         Raises:
             GatewayError / DerivationError: a model extraction failed; the
@@ -437,24 +470,42 @@ class ReportCorpus:
             handle.write(canonical_json(header) + "\n")
             for sequence, snippet in sequences.items():
                 handle.write(canonical_json(snippet.to_record(sequence)) + "\n")
-        self._sequences = sequences
-        self._catalog_corpus_digest = header["corpus_digest"]
+        with self._catalog_lock:
+            self._catalog_state = _Catalog(header["corpus_digest"], sequences)
         return CatalogSummary(
             count=counter, llm_extracted=llm_extracted, reports_without_code=without_code
         )
 
     def snippets(self) -> list[tuple[int, CodeSnippet]]:
         """All cataloged snippets as (sequence, snippet), in sequence order."""
-        return sorted(self._sequences.items())
+        return sorted(self._catalog().sequences.items())
 
     @property
     def catalog_corpus_digest(self) -> str | None:
         """Corpus digest recorded when the snippet catalog was built."""
-        return self._catalog_corpus_digest
+        return self._catalog().corpus_digest
+
+    def check_catalog(self):
+        """Refuse a snippet catalog that is missing, corrupt, or of another corpus state.
+
+        Raises:
+            CorpusError: the catalog file is absent, unreadable or corrupt,
+                or it records another corpus digest than `digest()`.
+        """
+        recorded = self.catalog_corpus_digest
+        if recorded is None:
+            raise CorpusError(
+                f"corpus at {self.directory} has no snippet catalog; build it by "
+                "running `lsast ingest` without --no-catalog"
+            )
+        if recorded != self.digest():
+            raise CorpusError(
+                "snippet catalog was built against a different corpus state; rebuild it"
+            )
 
     def resolve_sequence(self, sequence: int) -> CodeSnippet:
         # raises KeyError; correlate() turns that into an integrity error
-        return self._sequences[sequence]
+        return self._catalog().sequences[sequence]
 
 
 def fetch_reports_remote(endpoint: str, time_window: tuple[str, str] | None = None,

@@ -39,7 +39,6 @@ import requests
 
 from .errors import (
     ConfigurationError,
-    CorpusError,
     DerivationError,
     EmbedderMismatchError,
     GatewayError,
@@ -454,19 +453,10 @@ class VectorIndex:
 
         Raises:
             CorpusError: the corpus has no snippet catalog, or its catalog is
-                stale for this corpus.
+                corrupt or stale for this corpus (see `ReportCorpus.check_catalog`).
         """
+        corpus.check_catalog()
         corpus_digest = corpus.digest()
-        catalog_digest = corpus.catalog_corpus_digest
-        if catalog_digest is None:
-            raise CorpusError(
-                f"corpus at {corpus.directory} has no snippet catalog; build it by "
-                "running `lsast ingest` without --no-catalog"
-            )
-        if catalog_digest != corpus_digest:
-            raise CorpusError(
-                "snippet catalog was built against a different corpus state; rebuild it"
-            )
         snippets = corpus.snippets()
         texts = list(dict.fromkeys(snippet.text for _, snippet in snippets))
         outcomes = map_outcomes(lambda text: derive(kind, text, llm), texts)

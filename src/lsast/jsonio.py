@@ -17,8 +17,15 @@ from contextlib import contextmanager
 from pathlib import Path
 
 
+# json.dumps builds a new encoder on every call that passes options; the
+# indent-free form, the one every digest and record line uses, shares this one
+_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 def canonical_json(data, indent: int | None = None) -> str:
     """Sorted keys, non-ASCII kept as is: the form every digest covers."""
+    if indent is None:
+        return _CANONICAL.encode(data)
     return json.dumps(data, sort_keys=True, ensure_ascii=False, indent=indent)
 
 

@@ -12,8 +12,9 @@ Each mode fixes which ingredients join the target code in the prompt:
     combined_lsast       code + both report sets + scanner findings
 
 Dependencies are validated before the scanner or the model is called: a
-retrieval mode without its index, or with an index of another embedder,
-fails fast instead of silently degrading, because silent mode drift would
+retrieval mode without its index, with an index of another embedder, or
+with a snippet catalog that is corrupt or of another corpus state, fails
+fast instead of silently degrading, because silent mode drift would
 invalidate downstream evaluations.
 """
 
@@ -208,6 +209,8 @@ def _validate_dependencies(mode: RetrievalMode, k: int, context: ScanContext | N
                 f"{kind.value} index was built against a different corpus state; rebuild it"
             )
         index.check_embedder(context.embedder)
+    # the catalog that correlate() resolves hits through
+    context.corpus.check_catalog()
 
 
 def _read_target(target: Path, line_budget: int) -> tuple[str, AnnotatedSource]:
@@ -262,9 +265,12 @@ def run_scan(target, mode: RetrievalMode, k: int = DEFAULT_K,
 
     Raises:
         ConfigurationError: a dependency the mode needs is missing or stale.
+        CorpusError: the snippet catalog of a retrieval mode is missing,
+            corrupt (the message names its `path:line`), or was built
+            against another corpus state.
         EmbedderMismatchError: an index of the mode was built with another
-            embedder. This and ConfigurationError come before the scanner
-            runs or the model is asked.
+            embedder. These three come before the scanner runs or the model
+            is asked.
         ScanError: the target is unreadable or blank (whitespace only), a
             retrieval step failed, or the scan call failed; scan-call
             failures carry a partial result with the retrievals preserved.

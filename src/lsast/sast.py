@@ -225,7 +225,7 @@ def _path_parts(path: str) -> tuple[str, ...]:
 class FindingIndex:
     """Findings bucketed by the last component of their file path.
 
-    Each finding's path is parsed once, here; `for_file` then examines only
+    Each distinct path is parsed once, here; `for_file` then examines only
     the bucket whose key is the target's last component, the one place a
     suffix match can come from. Order within a bucket is list order. Built
     over a snapshot: findings appended to the source list later are not seen.
@@ -234,9 +234,12 @@ class FindingIndex:
     def __init__(self, findings):
         self._count = 0
         self._buckets: dict[str, list[tuple[tuple[str, ...], object]]] = {}
+        parsed: dict[str, tuple[str, ...]] = {}  # a report repeats each path many times
         for finding in findings:
             self._count += 1
-            parts = _path_parts(finding.file_path)
+            parts = parsed.get(finding.file_path)
+            if parts is None:
+                parts = parsed[finding.file_path] = _path_parts(finding.file_path)
             if parts:
                 self._buckets.setdefault(parts[-1], []).append((parts, finding))
 

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from lsast.annotate import annotate_lines, normalize_newlines, strip_annotations
+from lsast.annotate import annotate_lines, normalize_newlines
 from lsast.errors import LsastError
 from lsast.evaluation import (
     ConfusionCounts,
@@ -54,6 +54,7 @@ from lsast.sast import (
     format_findings,
     parse_scanner_report,
 )
+from test_annotate import strip_annotations
 from test_evaluation import f1_consistent
 from test_sast import parse_formatted_finding
 

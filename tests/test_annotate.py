@@ -1,15 +1,37 @@
 import random
+import re
 import string
 
 import pytest
 
-from lsast.annotate import (
-    DEFAULT_LINE_BUDGET,
-    annotate_lines,
-    normalize_newlines,
-    strip_annotations,
-)
+from lsast.annotate import DEFAULT_LINE_BUDGET, annotate_lines, normalize_newlines
 from lsast.errors import AnnotationError
+
+_PREFIX_RE = re.compile(r"^line (\d+): ")
+
+
+def strip_annotations(annotated: str) -> str:
+    """Inverse of annotate_lines: recover the original (normalized) source.
+
+    The round-trip tests use it to show that annotation loses nothing.
+
+    Raises:
+        AnnotationError: when a line lacks the "line <n>: " prefix or the
+            numbering is not 1..n in order; the message names the line index.
+    """
+    if annotated == "":
+        return ""
+    recovered = []
+    for idx, line in enumerate(annotated.split("\n"), 1):
+        match = _PREFIX_RE.match(line)
+        if match is None:
+            raise AnnotationError(f"line {idx}: missing annotation prefix")
+        if int(match.group(1)) != idx:
+            raise AnnotationError(
+                f"line {idx}: expected prefix number {idx}, found {match.group(1)}"
+            )
+        recovered.append(line[match.end():])
+    return "\n".join(recovered)
 
 
 def test_numbers_every_line_from_one():

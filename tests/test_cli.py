@@ -4,6 +4,9 @@ from pathlib import Path
 import pytest
 
 from lsast.cli import main
+from lsast.corpus import ReportCorpus
+from lsast.gateway import MockGateway
+from test_corpus import corrupt_catalog_line
 
 
 @pytest.fixture
@@ -406,6 +409,55 @@ class TestReadOnlyCorpus:
         assert run(workspace, "scan", workspace["target"], "--mode", "functionality") == 1
         assert f"error: corpus directory {missing} does not exist" in capsys.readouterr().err
         assert not missing.exists()
+
+
+class TestCatalogOnFirstUse:
+    """Only the commands that resolve snippets read the snippet catalog."""
+
+    def _catalog(self, workspace):
+        return Path(workspace["config"]).parent / "corpus" / "snippets.jsonl"
+
+    def test_ingest_replaces_a_corrupt_catalog(self, workspace, capsys, tmp_path,
+                                               report_dicts):
+        assert run(workspace, "ingest", "--reports", workspace["reports"]) == 0
+        corrupt_catalog_line(self._catalog(workspace))
+        more = tmp_path / "more.json"
+        more.write_text(json.dumps([dict(report_dicts[0], id=60, title="added later")]))
+        capsys.readouterr()
+        assert run(workspace, "ingest", "--reports", str(more)) == 0
+        assert "corpus now holds 4 reports" in capsys.readouterr().out
+
+        fresh = ReportCorpus(tmp_path / "fresh")
+        fresh.ingest_reports(workspace["reports"])
+        fresh.ingest_reports(more)
+        fresh.build_snippet_catalog(llm=MockGateway())
+        assert self._catalog(workspace).read_bytes() == fresh._snippets_path.read_bytes()
+        assert run(workspace, "index") == 0
+
+    def test_index_names_the_corrupt_catalog_line(self, workspace, capsys):
+        assert run(workspace, "ingest", "--reports", workspace["reports"]) == 0
+        corrupt_catalog_line(self._catalog(workspace))
+        capsys.readouterr()
+        assert run(workspace, "index") == 1
+        assert f"error: {self._catalog(workspace)}:3: not valid JSON" in capsys.readouterr().err
+        assert not workspace["index_dir"].exists()
+
+    @pytest.mark.parametrize("damage", ["deleted", "corrupt"])
+    def test_eval_retrieval_reads_no_catalog(self, workspace, capsys, damage):
+        assert run(workspace, "ingest", "--reports", workspace["reports"]) == 0
+        assert run(workspace, "index") == 0
+        assert run(workspace, "scan", workspace["target"], "--mode", "combined_lsast",
+                   "--sast-json", workspace["sast"], "--out", str(workspace["scan_dir"])) == 0
+        capsys.readouterr()
+        assert run(workspace, "eval", "--retrieval", "--format", "json") == 0
+        before = capsys.readouterr().out
+        if damage == "deleted":
+            self._catalog(workspace).unlink()
+        else:
+            corrupt_catalog_line(self._catalog(workspace))
+        assert run(workspace, "eval", "--retrieval", "--format", "json") == 0
+        assert capsys.readouterr().out == before
+        assert json.loads(before)["columns"][0]["counts"]["fn"] == 1
 
 
 class TestIngestFetch:

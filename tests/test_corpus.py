@@ -1,4 +1,8 @@
 import json
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +244,106 @@ class TestSnippetCatalog:
 
     def test_catalog_records_corpus_digest(self, corpus):
         assert corpus.catalog_corpus_digest == corpus.digest()
+
+
+def corrupt_catalog_line(path, line_no=3):
+    """Replace one line of a snippet catalog with text that is not JSON."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[line_no - 1] = "{not json\n"
+    Path(path).write_text("".join(lines), encoding="utf-8")
+
+
+def spy_reads(monkeypatch, delay=0.0):
+    """Record the name of each file that lsast.corpus reads; each read first
+    sleeps `delay` seconds, which widens the window of a race."""
+    import lsast.corpus
+
+    names = []
+    original = lsast.corpus.read_jsonl
+
+    def reading(path, error):
+        names.append(Path(path).name)
+        time.sleep(delay)
+        return original(path, error)
+
+    monkeypatch.setattr(lsast.corpus, "read_jsonl", reading)
+    return names
+
+
+class TestCatalogOnFirstUse:
+    def test_construction_reads_the_reports_only(self, corpus, monkeypatch):
+        corrupt_catalog_line(corpus._snippets_path)
+        reads = spy_reads(monkeypatch)
+        reopened = ReportCorpus(corpus.directory)
+        assert reads == ["reports.jsonl"]
+        assert len(reopened) == 3
+        assert reopened.get_report(2).title == "Stored XSS in profile page"
+        assert reopened.digest() == corpus.digest()
+        assert reads == ["reports.jsonl"]
+
+    @pytest.mark.parametrize("use", ["snippets", "catalog_corpus_digest", "resolve_sequence"])
+    def test_a_failed_read_is_kept(self, corpus, monkeypatch, use):
+        corrupt_catalog_line(corpus._snippets_path)
+        reopened = ReportCorpus(corpus.directory)
+        reads = spy_reads(monkeypatch)
+        touch = {
+            "snippets": reopened.snippets,
+            "catalog_corpus_digest": lambda: reopened.catalog_corpus_digest,
+            "resolve_sequence": lambda: reopened.resolve_sequence(1),
+        }[use]
+        with pytest.raises(CorpusError) as first:
+            touch()
+        assert f"{corpus._snippets_path}:3: not valid JSON" in str(first.value)
+        corpus.build_snippet_catalog(llm=MockGateway())  # the file is whole again
+        for later in (touch, reopened.snippets, lambda: reopened.catalog_corpus_digest):
+            with pytest.raises(CorpusError) as again:
+                later()
+            assert str(again.value) == str(first.value)
+        assert reads == ["snippets.jsonl"]
+
+    def test_concurrent_first_resolves_read_once(self, corpus, monkeypatch):
+        reopened = ReportCorpus(corpus.directory)
+        reads = spy_reads(monkeypatch, delay=0.05)
+        start = threading.Barrier(8, timeout=10)
+        resolved = [None] * 8
+
+        def resolve(slot):
+            start.wait()
+            resolved[slot] = reopened.resolve_sequence(2)
+
+        threads = [threading.Thread(target=resolve, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert reads == ["snippets.jsonl"]
+        assert resolved == [corpus.resolve_sequence(2)] * 8
+        assert resolved[0].report_id == 2
+
+    def test_build_replaces_a_corrupt_catalog_without_reading_it(self, corpus, monkeypatch):
+        expected = corpus._snippets_path.read_bytes()
+        corrupt_catalog_line(corpus._snippets_path)
+        reopened = ReportCorpus(corpus.directory)
+        reads = spy_reads(monkeypatch)
+        reopened.build_snippet_catalog(llm=MockGateway())
+        assert reopened.snippets() == corpus.snippets()
+        assert reopened.catalog_corpus_digest == corpus.digest()
+        assert reads == []
+        assert corpus._snippets_path.read_bytes() == expected
+
+    def test_no_catalog_file_is_an_empty_catalog(self, tmp_path, report_dicts):
+        corpus = ReportCorpus(tmp_path / "c")
+        corpus.ingest_records(report_dicts)
+        assert corpus.snippets() == []
+        assert corpus.catalog_corpus_digest is None
+        with pytest.raises(CorpusError, match="has no snippet catalog"):
+            corpus.check_catalog()
 
 
 class FakeResponse:

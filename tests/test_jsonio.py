@@ -1,12 +1,53 @@
+import json
+import math
 import os
 import subprocess
 import sys
 import threading
 
+import pytest
+
 from lsast.errors import CorpusError
 from lsast.gateway import MockGateway
 from lsast.index import IndexKind, VectorIndex
-from lsast.jsonio import remove_stale_temps, replacing
+from lsast.jsonio import canonical_json, remove_stale_temps, replacing
+
+PAYLOADS = {
+    "nested": {"b": [1, {"z": [], "a": {}}], "a": {"y": [True, None], "x": "v"}},
+    "non_ascii": {"título": "naïve café ☃ 漢字 \U0001f600", "ключ": ["é", "\u2028"]},
+    "floats": {"f": [0.1, 1e-07, 1e300, -0.0, 3.0, 2.5e-320, 123456789.125]},
+    "nan_inf": [math.nan, math.inf, -math.inf, {"n": math.nan}],
+    "bool_none": {"t": True, "f": False, "n": None, "list": [None, False, 0, ""]},
+    "bare_string": "only a string",
+    "bare_float": 0.30000000000000004,
+    "bare_nan": math.nan,
+    "bare_none": None,
+    "escapes": {"q": "\"quoted\"\n\t\\ and \u0000 control"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOADS))
+def test_canonical_json_matches_json_dumps(name):
+    payload = PAYLOADS[name]
+    assert canonical_json(payload) == json.dumps(payload, sort_keys=True, ensure_ascii=False)
+    assert canonical_json(payload, indent=2) == json.dumps(
+        payload, sort_keys=True, ensure_ascii=False, indent=2)
+
+
+def test_canonical_json_is_safe_across_threads():
+    payloads = list(PAYLOADS.values()) * 50
+    want = [json.dumps(p, sort_keys=True, ensure_ascii=False) for p in payloads]
+    got = {}
+
+    def dump(slot):
+        got[slot] = [canonical_json(p) for p in payloads]
+
+    threads = [threading.Thread(target=dump, args=(slot,)) for slot in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert got == {slot: want for slot in range(4)}
 
 
 def finished_pid() -> int:

@@ -11,9 +11,11 @@ import pytest
 
 from lsast import pipeline
 from lsast.cli import main
+from lsast.corpus import ReportCorpus
 from lsast.errors import (
     AnnotationError,
     ConfigurationError,
+    CorpusError,
     EmbedderMismatchError,
     GatewayError,
     RecordIntegrityError,
@@ -36,6 +38,7 @@ from lsast.pipeline import (
     run_scan_batch,
 )
 from lsast.sast import Finding, parse_scanner_report
+from test_corpus import corrupt_catalog_line, spy_reads
 
 MODES = list(RetrievalMode)
 
@@ -139,6 +142,21 @@ class TestValidation:
     def test_k_validated(self, js_target, context):
         with pytest.raises(ConfigurationError):
             run_scan(js_target, RetrievalMode.RAW, k=0, context=context)
+
+    @pytest.mark.parametrize("mode", [m for m in MODES if m.index_kinds])
+    def test_catalog_of_another_corpus_state_refused(self, js_target, context, mode):
+        catalog = context.corpus._snippets_path
+        lines = catalog.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[0] = canonical_json({**json.loads(lines[0]), "corpus_digest": "0" * 64}) + "\n"
+        catalog.write_text("".join(lines), encoding="utf-8")
+        scanned = []
+        context.scanner = lambda target: scanned.append(target) or []
+        context.corpus = ReportCorpus(catalog.parent)
+        with pytest.raises(CorpusError,
+                           match="snippet catalog was built against a different corpus state"):
+            run_scan(js_target, mode, context=context)
+        assert scanned == []
+        assert context.gateway.call_count == 0
 
     @pytest.mark.parametrize("mode", [RetrievalMode.FUNCTIONALITY_LSAST,
                                       RetrievalMode.ABSTRACTION_LSAST,
@@ -739,8 +757,8 @@ class TestHotPath:
             assert [f.line_start for f in result.scanner_findings] == [
                 f.line_start for f in findings if f.file_path.endswith(target.name)
             ]
-        # one parse per finding, then one per target
-        assert len(parsed) == len(findings) + len(targets)
+        # one parse per distinct finding path, then one per target
+        assert len(parsed) == len({f.file_path for f in findings}) + len(targets)
 
     def test_corpus_digest_computed_once_per_corpus_state(self, js_target, context, tmp_path,
                                                           report_dicts, monkeypatch):
@@ -1019,6 +1037,21 @@ class TestDeriveAhead:
             k = 0
         with pytest.raises(ScanError):
             run_scan_batch(targets, mode, k=k, context=context)
+        assert context.gateway.call_count == 0
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_batch_over_a_corrupt_catalog_reads_it_once(self, tmp_path, context, monkeypatch,
+                                                        parallelism):
+        catalog = context.corpus._snippets_path
+        corrupt_catalog_line(catalog)
+        context.corpus = ReportCorpus(catalog.parent)
+        reads = spy_reads(monkeypatch)
+        targets = tagged_targets(tmp_path, range(8))
+        with pytest.raises(ScanError) as exc:
+            run_scan_batch(targets, RetrievalMode.COMBINED_LSAST, k=2, context=context,
+                           parallelism=parallelism)
+        assert f"{catalog}:3: not valid JSON" in str(exc.value)
+        assert reads == ["snippets.jsonl"]
         assert context.gateway.call_count == 0
 
     @pytest.mark.parametrize("parallelism", [1, 2])

@@ -270,6 +270,20 @@ class TestFindingIndexOracle:
             assert [id(f) for f in filter_findings_for_file(findings, target)] == want
             assert [id(f) for f in filter_findings_for_file(index, target)] == want
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_parses_each_distinct_path_once(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        findings = self._findings(rng, 200)
+        parsed = []
+        original = sast._path_parts
+        monkeypatch.setattr(sast, "_path_parts", lambda path: parsed.append(path) or original(path))
+        index = FindingIndex(findings)
+        assert sorted(parsed) == sorted({f.file_path for f in findings})
+        monkeypatch.undo()
+        for target in [f.file_path for f in findings[:20]] + self.ODD:
+            want = [id(f) for f in reference_filter(findings, target)]
+            assert [id(f) for f in index.for_file(target)] == want, target
+
 
 class TestRunExternalScanner:
     def _command(self, script):
