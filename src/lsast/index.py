@@ -12,21 +12,24 @@ numpy/BLAS build and on the number of rows in the index. Keep one
 product over batched queries, or a product over a subset of rows, rounds
 differently and changes which entries are retrieved.
 
-Index files are JSONL: a header line carrying {version, kind, dimension,
-embedder id, corpus digest, entry count}, then one entry per line. In
-version 2, the version `save` writes, an entry's embedding is the base64 of
-the vector's little-endian float64 bytes: the stored bytes are the vector's
-own bits, so loading gives back the exact vector, and rebuilding from the
-same corpus with the deterministic embedder reproduces the file bitwise.
-`load` reads version 2 only: a file of version 1, which stored embeddings as
-JSON float lists, or of any other version must be rebuilt with `lsast index`.
-It also refuses any non-finite embedding.
+Index files keep their `.jsonl` name but are JSONL only at the head: a
+canonical JSON header line carrying {version, kind, dimension, embedder id,
+corpus digest, entry count}, then one canonical {derived_text, sequence}
+line per entry, then every entry's vector at once, as one raw block of
+little-endian float64 in entry order (entries x dimension x 8 bytes). The
+stored bytes are the vectors' own bits, so loading gives back the exact
+matrix, and rebuilding from the same corpus with the deterministic embedder
+reproduces the file bitwise. `load` reads version 3, the version `save`
+writes, only: a file of version 2 (base64 vectors inside the entry lines),
+of version 1 (JSON float lists) or of any other version must be rebuilt with
+`lsast index`. It also refuses a block of the wrong length and any
+non-finite vector.
 """
 
-import base64
-import dataclasses
 import hashlib
+import json
 import logging
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -46,7 +49,7 @@ from .errors import (
     LsastError,
     SearchError,
 )
-from .jsonio import canonical_json, read_jsonl, remove_stale_temps, replacing
+from .jsonio import canonical_json, remove_stale_temps, replacing
 from .prompts import (
     ABSTRACTION_PROMPT,
     FUNCTIONALITY_PROMPT,
@@ -259,10 +262,11 @@ class OfflineEmbedder:
     Fixed seed, float64, unit-normalized. Exists so tests and air-gapped runs
     need no embedding service; it captures surface similarity only.
 
-    Each instance memoises gram -> (bucket, sign), since derived texts
-    repeat most of their grams. The counts per bucket are exact integers, so
-    a memoised embedding is bitwise the one computed without the memo.
-    Concurrent callers may hash one gram twice; both store the same value.
+    Each instance memoises gram -> code, 2 * bucket + (sign > 0), since
+    derived texts repeat most of their grams. The counts per bucket are
+    exact integers, so a memoised embedding is bitwise the one computed
+    without the memo. Concurrent callers may hash one gram twice; both store
+    the same value.
     """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION, seed: int = 9157):
@@ -271,10 +275,7 @@ class OfflineEmbedder:
         self.dimension = dimension
         self.seed = seed
         self._prefix = f"{seed}:".encode("utf-8")
-        self._grams: dict[str, tuple[int, int]] = {}
-        # (bucket, sign) sits at 2 * bucket + (sign > 0); memo values are these
-        # shared tuples, so a memo entry costs only its key
-        self._hashes = [(bucket, sign) for bucket in range(dimension) for sign in (-1, 1)]
+        self._grams: dict[str, int] = {}
 
     @property
     def identity(self) -> str:
@@ -283,18 +284,19 @@ class OfflineEmbedder:
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise ValueError("cannot embed empty text")
-        counts = [0] * self.dimension
-        # a text shorter than one gram is its own single gram
-        grams = [text[i:i + NGRAM] for i in range(max(1, len(text) - NGRAM + 1))]
         memo = self._grams
-        for gram in grams:
-            hashed = memo.get(gram)
-            if hashed is None:
+        codes = []
+        # a text shorter than one gram is its own single gram
+        for i in range(max(1, len(text) - NGRAM + 1)):
+            gram = text[i:i + NGRAM]
+            code = memo.get(gram)
+            if code is None:
                 digest = hashlib.sha256(self._prefix + gram.encode("utf-8")).digest()
                 bucket = int.from_bytes(digest[:4], "big") % self.dimension
-                hashed = memo[gram] = self._hashes[2 * bucket + (digest[4] & 1)]
-            counts[hashed[0]] += hashed[1]
-        vector = np.array(counts, dtype=np.float64)
+                code = memo[gram] = 2 * bucket + (digest[4] & 1)
+            codes.append(code)
+        counts = np.bincount(codes, minlength=2 * self.dimension)
+        vector = (counts[1::2] - counts[::2]).astype(np.float64)
         norm = float(np.linalg.norm(vector))
         if norm == 0.0:
             # all grams cancelled; fall back to a deterministic basis vector
@@ -373,20 +375,22 @@ class IndexEntry:
     derived_text: str
     embedding: np.ndarray
 
-    def to_record(self) -> dict:
-        """The version-2 line: the embedding as base64 of its "<f8" bytes."""
-        raw = np.ascontiguousarray(self.embedding, dtype="<f8").tobytes()
-        return {
-            "sequence": self.sequence,
-            "derived_text": self.derived_text,
-            "embedding": base64.b64encode(raw).decode("ascii"),
-        }
+
+def _json_int(record: dict, key: str, least: int | None = None) -> int:
+    """`record[key]`, which must be a JSON integer (not a bool, float or string) >= `least`."""
+    value = record[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} is {value!r}, expected an integer")
+    if least is not None and value < least:
+        raise ValueError(f"{key} is {value}, expected at least {least}")
+    return value
 
 
-def _base64_vector(value) -> np.ndarray:
-    if not isinstance(value, str):
-        raise TypeError(f"embedding is {type(value).__name__}, expected a base64 string")
-    return np.frombuffer(base64.b64decode(value, validate=True), dtype="<f8")
+def _check_dimension(sequence: int, embedding: np.ndarray, dimension: int):
+    if len(embedding) != dimension:
+        raise IndexIntegrityError(
+            f"entry {sequence} has dimension {len(embedding)}, index declares {dimension}"
+        )
 
 
 @dataclass
@@ -410,28 +414,37 @@ class VectorIndex:
     is a row view of it.
     """
 
-    FILE_VERSION = 2
+    FILE_VERSION = 3
 
     def __init__(self, kind: IndexKind, dimension: int, embedder_id: str,
                  corpus_digest: str, entries: list[IndexEntry]):
-        for entry in entries:
-            if len(entry.embedding) != dimension:
-                raise IndexIntegrityError(
-                    f"entry {entry.sequence} has dimension {len(entry.embedding)}, "
-                    f"index declares {dimension}"
-                )
+        matrix = np.empty((len(entries), dimension), dtype=np.float64)
+        for row, entry in zip(matrix, entries):
+            _check_dimension(entry.sequence, entry.embedding, dimension)
+            row[:] = entry.embedding
+        self._adopt(kind, embedder_id, corpus_digest, [e.sequence for e in entries],
+                    [e.derived_text for e in entries], matrix)
+
+    @classmethod
+    def _of_matrix(cls, kind: IndexKind, embedder_id: str, corpus_digest: str,
+                   sequences: list[int], texts: list[str], matrix: np.ndarray) -> "VectorIndex":
+        index = cls.__new__(cls)
+        index._adopt(kind, embedder_id, corpus_digest, sequences, texts, matrix)
+        return index
+
+    def _adopt(self, kind, embedder_id, corpus_digest, sequences, texts, matrix):
+        """Take `matrix`, a filled C-contiguous float64 matrix with one row per
+        entry in entry order, as this index's vectors: it becomes read-only,
+        and each entry's `embedding` is its row view."""
+        matrix.flags.writeable = False
         self.kind = kind
-        self.dimension = dimension
+        self.dimension = matrix.shape[1]
         self.embedder_id = embedder_id
         self.corpus_digest = corpus_digest
-        if entries:
-            self._matrix = np.stack([e.embedding for e in entries])
-        else:
-            self._matrix = np.zeros((0, dimension), dtype=np.float64)
-        self._matrix.flags.writeable = False
-        self.entries = [dataclasses.replace(entry, embedding=row)
-                        for entry, row in zip(entries, self._matrix)]
-        self._sequences = np.array([e.sequence for e in entries], dtype=np.int64)
+        self._matrix = matrix
+        self.entries = [IndexEntry(sequence, kind, text, row)
+                        for sequence, text, row in zip(sequences, texts, matrix)]
+        self._sequences = np.array(sequences, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -444,16 +457,18 @@ class VectorIndex:
 
         Each distinct snippet text is derived once, up to SETUP_WORKERS at a
         time (see `map_outcomes`); a text whose derivation fails fails every
-        sequence that shares it. Entries are then embedded and assembled in
-        sequence order, so the index equals that of a sequential build.
-        Abstraction entries are skipped (not failed) when the derivation
-        answers "no code" or a blank pattern. Per-snippet failures are
-        recorded and the build continues; a failure rate above 50% marks the
-        build degraded.
+        sequence that shares it. Entries are then embedded, in sequence
+        order, into the rows of one matrix, so the index equals that of a
+        sequential build. Abstraction entries are skipped (not failed) when
+        the derivation answers "no code" or a blank pattern. Per-snippet
+        failures are recorded and the build continues; a failure rate above
+        50% marks the build degraded.
 
         Raises:
             CorpusError: the corpus has no snippet catalog, or its catalog is
                 corrupt or stale for this corpus (see `ReportCorpus.check_catalog`).
+            IndexIntegrityError: the embedder returned a vector of another
+                dimension than its own.
         """
         corpus.check_catalog()
         corpus_digest = corpus.digest()
@@ -461,7 +476,11 @@ class VectorIndex:
         texts = list(dict.fromkeys(snippet.text for _, snippet in snippets))
         outcomes = map_outcomes(lambda text: derive(kind, text, llm), texts)
         derivations = dict(zip(texts, outcomes))
-        entries: list[IndexEntry] = []
+        # a row per derived sequence; a failed embedding leaves the last row unused
+        rows = sum(derivations[snippet.text][0] is not None for _, snippet in snippets)
+        matrix = np.empty((rows, embedder.dimension), dtype=np.float64)
+        sequences: list[int] = []
+        derived_texts: list[str] = []
         failures: list[str] = []
         skipped = 0
         attempted = len(snippets)
@@ -477,14 +496,18 @@ class VectorIndex:
             elif derived is None:
                 skipped += 1
             else:
-                entries.append(IndexEntry(sequence, kind, derived, embedding))
+                _check_dimension(sequence, embedding, embedder.dimension)
+                matrix[len(sequences)] = embedding
+                sequences.append(sequence)
+                derived_texts.append(derived)
         degraded = attempted > 0 and len(failures) / attempted > 0.5
         if degraded:
             logger.warning(
                 "index build degraded: %d/%d derivations failed", len(failures), attempted
             )
-        index = cls(kind, embedder.dimension, embedder.identity, corpus_digest, entries)
-        return index, BuildSummary(len(entries), skipped, failures, degraded)
+        index = cls._of_matrix(kind, embedder.identity, corpus_digest, sequences, derived_texts,
+                               matrix[:len(sequences)])
+        return index, BuildSummary(len(sequences), skipped, failures, degraded)
 
     # -- persistence ------------------------------------------------------
 
@@ -504,74 +527,82 @@ class VectorIndex:
             "corpus_digest": self.corpus_digest,
             "entries": len(self.entries),
         }
+        lines = [canonical_json(header)]
+        lines += [canonical_json({"derived_text": e.derived_text, "sequence": e.sequence})
+                  for e in self.entries]
         remove_stale_temps(path)
         with (replacing(path, IndexIntegrityError) as tmp,
-              open(tmp, "w", encoding="utf-8") as handle):
-            handle.write(canonical_json(header) + "\n")
-            for entry in self.entries:
-                handle.write(canonical_json(entry.to_record()) + "\n")
+              open(tmp, "wb") as handle):
+            handle.write(("\n".join(lines) + "\n").encode("utf-8"))
+            handle.write(np.ascontiguousarray(self._matrix, dtype="<f8"))
         return path
 
     @classmethod
     def load(cls, path) -> "VectorIndex":
         """Read an index file of version FILE_VERSION.
 
+        The header's entries x dimension x 8 is checked against the bytes
+        left in the file before anything is allocated; the vector block is
+        then read in one call into one matrix.
+
         Raises:
-            IndexIntegrityError: the file is missing, unreadable, of an
-                unknown version, truncated, or has a corrupt line (named as
-                `path:line`).
+            IndexIntegrityError: the file is missing, unreadable, empty or of
+                an unknown version; its vector block is shorter or longer than
+                its header declares; or a line is corrupt or a vector not
+                finite (named as `path:line`).
         """
         path = Path(path)
-        header = None
-        entries = []
-        line_nos = []
-        for line_no, record in read_jsonl(path, IndexIntegrityError):
-            try:
-                if header is None:
-                    version = record["version"]
+        line_no = 1
+        sequences, texts = [], []
+        try:
+            with open(path, "rb") as handle:
+                size = os.fstat(handle.fileno()).st_size
+                head = handle.readline()
+                if not head.strip():
+                    raise IndexIntegrityError(f"index file {path} is empty")
+                try:
+                    header = json.loads(head)
+                    version = header["version"]
                     if type(version) is not int or version != cls.FILE_VERSION:
                         raise IndexIntegrityError(
                             f"index file {path} has version {version!r}; this lsast reads "
                             f"version {cls.FILE_VERSION} only. Rebuild it with `lsast index`."
                         )
-                    header = {
-                        "kind": IndexKind(record["kind"]),
-                        "dimension": int(record["dimension"]),
-                        "embedder_id": record["embedder_id"],
-                        "corpus_digest": record["corpus_digest"],
-                    }
-                    declared = int(record["entries"])
-                    continue
-                embedding = _base64_vector(record["embedding"])
-                if embedding.shape != (header["dimension"],):
-                    raise ValueError(
-                        f"embedding has shape {embedding.shape}, "
-                        f"index declares dimension {header['dimension']}"
+                    kind = IndexKind(header["kind"])
+                    dimension = _json_int(header, "dimension", least=1)
+                    count = _json_int(header, "entries", least=0)
+                    embedder_id, corpus_digest = header["embedder_id"], header["corpus_digest"]
+                    block = count * dimension * 8
+                    # a count the file cannot hold is refused below, its lines unread
+                    read = "header"
+                    if block <= size - handle.tell():
+                        for line_no in range(2, count + 2):
+                            record = json.loads(handle.readline())
+                            sequences.append(_json_int(record, "sequence"))
+                            texts.append(record["derived_text"])
+                        read = "entry lines"
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise IndexIntegrityError(
+                        f"{path}:{line_no}: corrupt index file: {exc}"
+                    ) from None
+                left = size - handle.tell()
+                if left == block:
+                    matrix = np.empty((count, dimension), dtype="<f8")
+                    left = handle.readinto(matrix)
+                if left != block:
+                    raise IndexIntegrityError(
+                        f"index file {path} declares {count} entries of dimension {dimension} "
+                        f"({block} bytes of vectors), but {left} bytes follow its {read}"
+                        + (" (truncated?)" if left < block else "")
                     )
-                entries.append(IndexEntry(
-                    sequence=int(record["sequence"]),
-                    kind=header["kind"],
-                    derived_text=record["derived_text"],
-                    embedding=embedding,
-                ))
-                line_nos.append(line_no)
-            except (KeyError, ValueError, TypeError) as exc:
-                raise IndexIntegrityError(f"{path}:{line_no}: corrupt index file: {exc}") from None
-        if header is None:
-            raise IndexIntegrityError(f"index file {path} is empty")
-        if len(entries) != declared:
-            raise IndexIntegrityError(
-                f"index file {path} declares {declared} entries, found {len(entries)} "
-                "(truncated?)"
-            )
-        index = cls(**header, entries=entries)
-        non_finite = np.flatnonzero(~np.isfinite(index._matrix).all(axis=1))
+        except OSError as exc:
+            raise IndexIntegrityError(f"cannot read {path}: {exc}") from None
+        non_finite = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
         if len(non_finite):
             raise IndexIntegrityError(
-                f"{path}:{line_nos[non_finite[0]]}: corrupt index file: "
-                "embedding is not finite"
+                f"{path}:{non_finite[0] + 2}: corrupt index file: embedding is not finite"
             )
-        return index
+        return cls._of_matrix(kind, embedder_id, corpus_digest, sequences, texts, matrix)
 
     # -- search -----------------------------------------------------------
 

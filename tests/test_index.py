@@ -1,13 +1,16 @@
-import dataclasses
+import base64
 import hashlib
 import json
+import struct
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import lsast.index as index_module
 from lsast.corpus import ReportCorpus
 from lsast.errors import (
     CorpusError,
@@ -19,6 +22,7 @@ from lsast.errors import (
 )
 from lsast.gateway import MockGateway
 from lsast.index import (
+    DEFAULT_DIMENSION,
     SETUP_WORKERS,
     BuildSummary,
     DerivationCache,
@@ -60,21 +64,39 @@ def dyadic_tied_corpus(rng: np.random.Generator, dim: int,
     return vectors, rng.integers(-2, 3, size=dim) / 16.0
 
 
+def split_index_file(path) -> tuple[list[bytes], bytes]:
+    """The head lines (header, then one per entry) and the raw vector block of `path`."""
+    data = path.read_bytes()
+    entries = json.loads(data[:data.index(b"\n")])["entries"]
+    *lines, block = data.split(b"\n", entries + 1)
+    return lines, block
+
+
 def rewrite_line(path, line_index: int, **fields) -> None:
-    """Replace fields of one JSON line of `path` in place."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    lines[line_index] = canonical_json(dict(json.loads(lines[line_index]), **fields))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Replace fields of one head line of the index file `path` in place."""
+    lines, block = split_index_file(path)
+    record = dict(json.loads(lines[line_index]), **fields)
+    lines[line_index] = canonical_json(record).encode("utf-8")
+    path.write_bytes(b"\n".join(lines) + b"\n" + block)
 
 
-def write_version_1(index, path):
-    """Write `index` as a version-1 file: embeddings as JSON float lists."""
-    header = {"version": 1, "kind": index.kind.value, "dimension": index.dimension,
+def write_old_version(index, path, version: int):
+    """Write `index` as a file of an earlier version, with each vector in its line.
+
+    Version 1 stores the vector as a JSON float list, version 2 as the base64
+    of its little-endian float64 bytes.
+    """
+    def encoded(vector):
+        if version == 1:
+            return [float(x) for x in vector]
+        return base64.b64encode(np.asarray(vector, dtype="<f8").tobytes()).decode("ascii")
+
+    header = {"version": version, "kind": index.kind.value, "dimension": index.dimension,
               "embedder_id": index.embedder_id, "corpus_digest": index.corpus_digest,
               "entries": len(index)}
     lines = [canonical_json(header)] + [
         canonical_json({"sequence": e.sequence, "derived_text": e.derived_text,
-                        "embedding": [float(x) for x in e.embedding]})
+                        "embedding": encoded(e.embedding)})
         for e in index.entries
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -207,6 +229,31 @@ class TestOfflineEmbedder:
         embedder = OfflineEmbedder()
         for _ in range(2):  # cold, then with every gram memoised
             assert hashlib.sha256(embedder.embed(text).tobytes()).hexdigest() == digest
+
+    def test_matches_the_signed_count_loop(self):
+        """Counting memoised gram codes gives bitwise the vector of summing
+        each gram's signed hash into its bucket in a Python loop."""
+        def reference(text, dimension, seed=9157):
+            counts = [0] * dimension
+            for i in range(max(1, len(text) - 2)):
+                digest = hashlib.sha256(f"{seed}:{text[i:i + 3]}".encode("utf-8")).digest()
+                counts[int.from_bytes(digest[:4], "big") % dimension] += 1 if digest[4] & 1 else -1
+            vector = np.array(counts, dtype=np.float64)
+            norm = float(np.linalg.norm(vector))
+            if norm == 0.0:
+                digest = hashlib.sha256(f"{seed}:{text}".encode("utf-8")).digest()
+                vector[int.from_bytes(digest[:4], "big") % dimension] = 1.0
+                norm = 1.0
+            return vector / norm
+
+        rng = np.random.default_rng(22)
+        alphabet = list("ab c=;(x)é文")
+        texts = ["".join(rng.choice(alphabet, size=rng.integers(1, 80))) for _ in range(300)]
+        for dimension in (DEFAULT_DIMENSION, 7):
+            embedder = OfflineEmbedder(dimension=dimension)
+            for _ in range(2):  # cold, then with every gram memoised
+                for text in texts:
+                    assert embedder.embed(text).tobytes() == reference(text, dimension).tobytes()
 
     def test_identity_encodes_parameters(self):
         assert OfflineEmbedder().identity != OfflineEmbedder(seed=1).identity
@@ -489,15 +536,46 @@ class TestBuildAndPersist:
         after = [(h.entry.sequence, h.similarity) for h in loaded.search_embedded(query, 3)]
         assert before == after
 
+    @staticmethod
+    def saved(corpus, embedder, tmp_path, kind=IndexKind.FUNCTIONALITY):
+        index, _ = VectorIndex.build(corpus, kind, llm=MockGateway(), embedder=embedder)
+        return index, index.save(tmp_path / "f.jsonl")
+
     def test_truncated_file_refused(self, corpus, embedder, tmp_path):
-        index, _ = VectorIndex.build(corpus, IndexKind.FUNCTIONALITY,
-                                     llm=MockGateway(), embedder=embedder)
-        path = tmp_path / "f.jsonl"
-        index.save(path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(IndexIntegrityError):
+        index, path = self.saved(corpus, embedder, tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-1])
+        with pytest.raises(IndexIntegrityError) as exc:
             VectorIndex.load(path)
+        assert str(exc.value) == (f"index file {path} declares 3 entries of dimension 256 "
+                                  "(6144 bytes of vectors), but 6143 bytes follow its entry "
+                                  "lines (truncated?)")
+        # too short to hold the vectors at all: refused before the entry lines are read
+        path.write_bytes(data[:-8 * index.dimension])
+        with pytest.raises(IndexIntegrityError,
+                           match=r"declares 3 entries .* follow its header \(truncated\?\)"):
+            VectorIndex.load(path)
+
+    def test_trailing_byte_refused(self, corpus, embedder, tmp_path):
+        _, path = self.saved(corpus, embedder, tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(IndexIntegrityError) as exc:
+            VectorIndex.load(path)
+        assert str(exc.value) == (f"index file {path} declares 3 entries of dimension 256 "
+                                  "(6144 bytes of vectors), but 6145 bytes follow its entry lines")
+
+    def test_declared_count_refused_before_allocating(self, corpus, embedder, tmp_path):
+        _, path = self.saved(corpus, embedder, tmp_path)
+        rewrite_line(path, 0, entries=10**12)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IndexIntegrityError,
+                               match=f"declares {10**12} entries .*truncated"):
+                VectorIndex.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_rebuilt_file_is_byte_identical(self, corpus, tmp_path):
         files = []
@@ -508,56 +586,82 @@ class TestBuildAndPersist:
             files.append(index.save(tmp_path / f"run{run}.jsonl").read_bytes())
         assert files[0] == files[1] == files[2]
 
-    @pytest.mark.parametrize("embedding", [
-        "not base64!",
-        "AAAAAAAA8D8=",  # one float64 where the index declares more
-        "AAAA",  # three bytes: not a whole float64
+    @pytest.mark.parametrize("line", [
+        b"not JSON",
+        b"[2]",
+        b'{"sequence": 2}',
+        b'{"derived_text": "t"}',
     ])
-    def test_bad_embedding_value_names_the_line(self, corpus, embedder, tmp_path,
-                                                embedding):
-        index, _ = VectorIndex.build(corpus, IndexKind.FUNCTIONALITY,
-                                     llm=MockGateway(), embedder=embedder)
-        path = index.save(tmp_path / "f.jsonl")
-        rewrite_line(path, 2, embedding=embedding)
+    def test_corrupt_entry_line_names_the_line(self, corpus, embedder, tmp_path, line):
+        _, path = self.saved(corpus, embedder, tmp_path)
+        lines, block = split_index_file(path)
+        lines[2] = line
+        path.write_bytes(b"\n".join(lines) + b"\n" + block)
         with pytest.raises(IndexIntegrityError, match=f"{path}:3: corrupt"):
+            VectorIndex.load(path)
+
+    @pytest.mark.parametrize("sequence", [5.9, True, "5"], ids=repr)
+    def test_non_integer_sequence_names_the_line(self, corpus, embedder, tmp_path, sequence):
+        _, path = self.saved(corpus, embedder, tmp_path)
+        rewrite_line(path, 2, sequence=sequence)
+        with pytest.raises(IndexIntegrityError,
+                           match=f"{path}:3: corrupt index file: sequence is "
+                                 f"{sequence!r}, expected an integer"):
+            VectorIndex.load(path)
+
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(field, value, id=f"{field}={value!r}") for field, value in [
+            ("dimension", 256.0), ("dimension", True), ("dimension", "256"), ("dimension", 0),
+            ("entries", 3.0), ("entries", True), ("entries", "3"), ("entries", -1),
+        ]
+    ])
+    def test_bad_header_integer_names_the_line(self, corpus, embedder, tmp_path, field, value):
+        _, path = self.saved(corpus, embedder, tmp_path)
+        rewrite_line(path, 0, **{field: value})
+        with pytest.raises(IndexIntegrityError, match=f"{path}:1: corrupt index file: {field} is"):
             VectorIndex.load(path)
 
     @pytest.mark.parametrize("entry", [1, 2])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_embedding_names_the_line(self, corpus, embedder, tmp_path,
                                                  entry, value):
-        index, _ = VectorIndex.build(corpus, IndexKind.FUNCTIONALITY,
-                                     llm=MockGateway(), embedder=embedder)
-        path = index.save(tmp_path / "f.jsonl")
-        vector = np.array(index.entries[entry].embedding)
-        vector[3] = value
-        bad = dataclasses.replace(index.entries[entry], embedding=vector)
-        rewrite_line(path, entry + 1, embedding=bad.to_record()["embedding"])
+        index, path = self.saved(corpus, embedder, tmp_path)
+        data = bytearray(path.read_bytes())
+        offset = len(data) - 8 * index.dimension * (len(index) - entry) + 8 * 3
+        data[offset:offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
         with pytest.raises(IndexIntegrityError,
                            match=f"{path}:{entry + 2}: corrupt.*not finite"):
             VectorIndex.load(path)
 
     def test_unknown_version_refused(self, corpus, embedder, tmp_path):
-        index, _ = VectorIndex.build(corpus, IndexKind.FUNCTIONALITY,
-                                     llm=MockGateway(), embedder=embedder)
-        path = index.save(tmp_path / "f.jsonl")
+        _, path = self.saved(corpus, embedder, tmp_path)
         rewrite_line(path, 0, version=99)
         with pytest.raises(IndexIntegrityError) as exc:
             VectorIndex.load(path)
         message = str(exc.value)
         assert str(path) in message
         assert "version 99" in message
-        assert "version 2 only" in message
+        assert "version 3 only" in message
         assert "lsast index" in message
 
     def test_version_1_file_refused_with_its_rebuild_message(self, corpus, embedder, tmp_path):
         index, _ = VectorIndex.build(corpus, IndexKind.ABSTRACTION,
                                      llm=MockGateway(), embedder=embedder)
-        path = write_version_1(index, tmp_path / "v1.jsonl")
+        path = write_old_version(index, tmp_path / "v1.jsonl", 1)
         with pytest.raises(IndexIntegrityError) as exc:
             VectorIndex.load(path)
         assert str(exc.value) == (f"index file {path} has version 1; this lsast reads "
-                                  "version 2 only. Rebuild it with `lsast index`.")
+                                  "version 3 only. Rebuild it with `lsast index`.")
+
+    def test_version_2_file_refused_with_its_rebuild_message(self, corpus, embedder, tmp_path):
+        index, _ = VectorIndex.build(corpus, IndexKind.ABSTRACTION,
+                                     llm=MockGateway(), embedder=embedder)
+        path = write_old_version(index, tmp_path / "v2.jsonl", 2)
+        with pytest.raises(IndexIntegrityError) as exc:
+            VectorIndex.load(path)
+        assert str(exc.value) == (f"index file {path} has version 2; this lsast reads "
+                                  "version 3 only. Rebuild it with `lsast index`.")
 
     def test_entries_share_the_index_matrix(self, corpus, embedder):
         index, _ = VectorIndex.build(corpus, IndexKind.FUNCTIONALITY,
@@ -566,6 +670,31 @@ class TestBuildAndPersist:
             assert np.shares_memory(entry.embedding, index._matrix)
             assert not entry.embedding.flags.writeable
 
+    def test_built_and_loaded_matrices_take_one_blas_path(self, tmp_path, embedder):
+        """Search rounds as the BLAS kernel that `_matrix @ query` picks, and
+        that pick follows the matrix's dtype, layout and alignment; so a built
+        and a loaded index need one layout and the same bytes to rank alike."""
+        # 7 distinct abstraction patterns over 40 snippets: rows tie exactly
+        bodies = [fenced(f"var c{i} = lookup({i % 7}, name);") for i in range(40)]
+        corpus = cataloged_corpus(tmp_path / "corpus", bodies)
+        built, _ = VectorIndex.build(corpus, IndexKind.ABSTRACTION,
+                                     llm=MockGateway(), embedder=embedder)
+        loaded = VectorIndex.load(built.save(tmp_path / "abstraction.jsonl"))
+        reference = np.stack([embedder.embed(e.derived_text) for e in built.entries])
+        assert len(built) == 40
+        for index in (built, loaded):
+            flags = index._matrix.flags
+            assert index._matrix.dtype == np.float64
+            assert flags.c_contiguous and flags.aligned and not flags.writeable
+            assert index._matrix.tobytes() == reference.tobytes()
+        rng = np.random.default_rng(22)
+        queries = [embedder.embed(f"x x = x({i}, x);") for i in range(10)]
+        queries += [random_unit(rng, embedder.dimension) for _ in range(10)]
+        for query in queries:
+            hits = [[(h.entry.sequence, h.similarity) for h in index.search_embedded(query, 5)]
+                    for index in (built, loaded)]
+            assert hits[0] == hits[1]
+
     def test_failed_save_keeps_previous_file(self, corpus, embedder, tmp_path, monkeypatch):
         index, _ = VectorIndex.build(corpus, IndexKind.FUNCTIONALITY,
                                      llm=MockGateway(), embedder=embedder)
@@ -573,16 +702,29 @@ class TestBuildAndPersist:
         path = tmp_path / "indexes" / "f.jsonl"
         index.save(path)
         before = path.read_bytes()
-        real_to_record = IndexEntry.to_record
-        written = []
+        block = np.asarray(index._matrix, dtype="<f8").tobytes()
+        real_open = open
 
-        def fail_on_second_entry(entry):
-            if written:
-                raise OSError(28, "No space left on device")
-            written.append(entry.sequence)
-            return real_to_record(entry)
+        class FillsMidBlock:
+            """A file whose disk fills halfway through the vector block."""
 
-        monkeypatch.setattr(IndexEntry, "to_record", fail_on_second_entry)
+            def __init__(self, *args, **kwargs):
+                self.handle = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, data):
+                data = bytes(data)
+                if data == block:
+                    self.handle.write(data[:len(data) // 2])
+                    raise OSError(28, "No space left on device")
+                return self.handle.write(data)
+
+        monkeypatch.setattr(index_module, "open", FillsMidBlock, raising=False)
         with pytest.raises(IndexIntegrityError) as exc:
             index.save(path)
         assert str(path) in str(exc.value)
