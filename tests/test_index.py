@@ -556,6 +556,16 @@ class TestBuildAndPersist:
                            match=r"declares 3 entries .* follow its header \(truncated\?\)"):
             VectorIndex.load(path)
 
+    def test_short_vector_block_refused(self, corpus, embedder, tmp_path):
+        # the header declares one float64 more per vector than the block holds
+        _, path = self.saved(corpus, embedder, tmp_path)
+        rewrite_line(path, 0, dimension=257)
+        with pytest.raises(IndexIntegrityError) as exc:
+            VectorIndex.load(path)
+        assert str(exc.value) == (f"index file {path} declares 3 entries of dimension 257 "
+                                  "(6168 bytes of vectors), but 6144 bytes follow its entry "
+                                  "lines (truncated?)")
+
     def test_trailing_byte_refused(self, corpus, embedder, tmp_path):
         _, path = self.saved(corpus, embedder, tmp_path)
         path.write_bytes(path.read_bytes() + b"\0")
