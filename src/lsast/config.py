@@ -8,6 +8,7 @@ use, and any secret-looking key in the config file is rejected outright.
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,6 +70,9 @@ def _coerce(name: str, raw, target_type):
 
 
 def _validate(config: Config) -> Config:
+    for name in ("temperature", "scanner_timeout"):
+        if not math.isfinite(getattr(config, name)):
+            raise ConfigurationError(f"{name} must be finite, got {getattr(config, name)!r}")
     if config.k < 1:
         raise ConfigurationError("k must be >= 1")
     if config.line_budget < 1:

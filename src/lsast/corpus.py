@@ -28,7 +28,7 @@ from typing import NamedTuple
 import requests
 
 from .errors import CorpusError, ReportNotFoundError, RemoteFetchError
-from .index import IndexKind, derive, map_outcomes
+from .index import IndexKind, Workers, derive
 from .jsonio import append_jsonl, canonical_json, read_jsonl, remove_stale_temps, replacing
 from .sast import normalize_cwe
 from .transport import send
@@ -430,7 +430,7 @@ class ReportCorpus:
         Deterministic for a given corpus state and gateway: reports in stored
         order, snippets by ordinal, sequences starting at 1. Fenced blocks
         are read on the calling thread; the reports without any go to the
-        model up to SETUP_WORKERS at a time (see `map_outcomes`). The
+        model up to SETUP_WORKERS at a time (see `Workers`). The
         previous catalog is never read, so a corrupt one is replaced.
 
         Raises:
@@ -442,7 +442,7 @@ class ReportCorpus:
         found = [extract_code_snippets(report) for report in reports]
         if llm is not None:
             asking = [i for i, snippets in enumerate(found) if not snippets]
-            outcomes = map_outcomes(lambda i: extract_code_snippets(reports[i], llm=llm), asking)
+            outcomes = Workers(lambda i: extract_code_snippets(reports[i], llm=llm), asking).join()
             for i, (snippets, error) in zip(asking, outcomes):
                 if error is not None:
                     raise error

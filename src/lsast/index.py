@@ -63,9 +63,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_K = 3
 DEFAULT_DIMENSION = 256
 NGRAM = 3  # OfflineEmbedder's gram length, part of its identity
-# model calls in flight at once while the index build and the snippet catalog
-# derive, and the most derive-ahead calls beside a scan batch's `parallelism`
-# scans (see `Workers`)
+# `Workers`' default thread count: model calls in flight at once in the index
+# build, the snippet catalog and a scan batch's derive-ahead
 SETUP_WORKERS = 4
 
 
@@ -98,7 +97,7 @@ def derive(kind: IndexKind, code: str, llm) -> str | None:
 
 
 class Workers:
-    """Run `fn` over `items` on up to SETUP_WORKERS threads, from construction on.
+    """Run `fn` over `items` on up to `threads` threads, from construction on.
 
     Each outcome is `(fn(item), None)`, or `(None, error)` when `fn` raised
     an LsastError or ValueError; a position no worker reached stays None.
@@ -114,18 +113,19 @@ class Workers:
     already leaving; the block stops the workers and waits for them.
     """
 
-    def __init__(self, fn, items: list, floor: int = 1, judged=lambda value: True):
+    def __init__(self, fn, items: list, threads: int = SETUP_WORKERS, floor: int = 1,
+                 judged=lambda value: True):
         self.outcomes: list = [None] * len(items)
         self._fn = fn
         self._items = items
         self._positions = iter(range(len(items)))
         self._lock = threading.Lock()
         self._stop = threading.Event()
-        workers = min(SETUP_WORKERS, len(items))
+        workers = min(threads, len(items))
         self._active = workers
         self._floor = floor
         self._judged = judged
-        self._pool = ThreadPoolExecutor(max_workers=SETUP_WORKERS)
+        self._pool = ThreadPoolExecutor(max_workers=threads)
         self._futures = [self._pool.submit(self._work) for _ in range(workers)]
 
     def _work(self):
@@ -155,8 +155,12 @@ class Workers:
         self._stop.set()
 
     def join(self) -> list:
-        """Wait for every worker; the outcomes in input order."""
-        self._pool.shutdown(wait=True)
+        """Wait for every worker; the outcomes in input order. An interrupted wait stops them."""
+        try:
+            self._pool.shutdown(wait=True)
+        except BaseException:  # e.g. KeyboardInterrupt: no worker takes another item
+            self.stop()
+            raise
         for future in self._futures:
             future.result()
         return self.outcomes
@@ -170,14 +174,6 @@ class Workers:
             self.join()
         else:
             self._pool.shutdown(wait=True)
-
-
-def map_outcomes(fn, items: list) -> list[tuple[object, Exception | None]]:
-    """`fn` over `items` on up to SETUP_WORKERS threads (see `Workers`); outcomes in input order.
-
-    One worker stays on to the last item.
-    """
-    return Workers(fn, items).join()
 
 
 class DerivationCache:
@@ -456,7 +452,7 @@ class VectorIndex:
         """Derive and embed every cataloged snippet of `corpus`.
 
         Each distinct snippet text is derived once, up to SETUP_WORKERS at a
-        time (see `map_outcomes`); a text whose derivation fails fails every
+        time (see `Workers`); a text whose derivation fails fails every
         sequence that shares it. Entries are then embedded, in sequence
         order, into the rows of one matrix, so the index equals that of a
         sequential build. Abstraction entries are skipped (not failed) when
@@ -474,7 +470,7 @@ class VectorIndex:
         corpus_digest = corpus.digest()
         snippets = corpus.snippets()
         texts = list(dict.fromkeys(snippet.text for _, snippet in snippets))
-        outcomes = map_outcomes(lambda text: derive(kind, text, llm), texts)
+        outcomes = Workers(lambda text: derive(kind, text, llm), texts).join()
         derivations = dict(zip(texts, outcomes))
         # a row per derived sequence; a failed embedding leaves the last row unused
         rows = sum(derivations[snippet.text][0] is not None for _, snippet in snippets)

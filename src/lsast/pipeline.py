@@ -22,7 +22,6 @@ import hashlib
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from enum import Enum
@@ -408,7 +407,7 @@ def run_scan_batch(targets, mode: RetrievalMode, k: int = DEFAULT_K,
                    parallelism: int = 1) -> list:
     """Scan many targets; results in input order, failures recorded inline.
 
-    The scans run on a pool of `parallelism` threads. In a retrieval mode,
+    The scans run on `parallelism` `Workers` threads. In a retrieval mode,
     up to SETUP_WORKERS threads meanwhile derive the query keys of the
     targets from position `parallelism` on (see `_derive_ahead`), so a batch
     keeps up to `parallelism` + SETUP_WORKERS model calls in flight. A scan
@@ -420,6 +419,7 @@ def run_scan_batch(targets, mode: RetrievalMode, k: int = DEFAULT_K,
 
     Returns a list whose elements are ScanResult or ScanFailure. Raises
     ScanError only when every target failed (and there was at least one).
+    A scan's error that is not an LsastError propagates.
     """
     mode = RetrievalMode(mode)
     expanded = expand_targets(targets)
@@ -434,9 +434,12 @@ def run_scan_batch(targets, mode: RetrievalMode, k: int = DEFAULT_K,
             )
 
     workers = max(1, parallelism)
-    with _derive_ahead(expanded[workers:], mode, k, context), \
-            ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(scan_one, expanded))
+    with _derive_ahead(expanded[workers:], mode, k, context):
+        outcomes = Workers(scan_one, expanded, workers, floor=workers).join()
+    for _, error in outcomes:
+        if error is not None:  # a ValueError, which scan_one does not catch
+            raise error
+    results = [result for result, _ in outcomes]
 
     if results and all(isinstance(r, ScanFailure) for r in results):
         first = results[0]

@@ -173,3 +173,16 @@ class TestValidation:
         path = write_config(tmp_path, payload)
         with pytest.raises(ConfigurationError):
             load_config(path)
+
+    @pytest.mark.parametrize("key", ["temperature", "scanner_timeout"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected_from_file(self, tmp_path, key, value):
+        path = write_config(tmp_path, {key: float(value)})
+        with pytest.raises(ConfigurationError, match=f"^{key} must be finite"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", ["temperature", "scanner_timeout"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected_from_env(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be finite"):
+            load_config(None, env={f"LSAST_{key.upper()}": value})

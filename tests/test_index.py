@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+import signal
 import struct
 import sys
 import threading
@@ -33,7 +34,6 @@ from lsast.index import (
     Workers,
     correlate,
     derive,
-    map_outcomes,
 )
 from lsast.jsonio import canonical_json
 from lsast.prompts import ABSTRACTION_PROMPT, FUNCTIONALITY_PROMPT, render_derivation_prompt
@@ -911,7 +911,7 @@ class TestSetupPool:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            outcomes = map_outcomes(record, list(range(3000)))
+            outcomes = Workers(record, list(range(3000))).join()
         finally:
             sys.setswitchinterval(interval)
         assert sorted(calls) == list(range(3000))
@@ -928,7 +928,7 @@ class TestSetupPool:
             threads.append(threading.get_ident())
             return sum(range(2000 + item))
 
-        outcomes = map_outcomes(compute, list(range(600)))
+        outcomes = Workers(compute, list(range(600))).join()
         assert [value for value, _ in outcomes] == [sum(range(2000 + i)) for i in range(600)]
         assert len(set(threads[-100:])) == 1
 
@@ -976,6 +976,40 @@ class TestSetupPool:
         assert set(threading.enumerate()) == before
         assert len(taken) < 1000
         assert sum(outcome is not None for outcome in workers.outcomes) == len(taken)
+
+    def test_interrupted_join_stops_the_workers(self):
+        class Interrupted(Exception):
+            pass
+
+        def interrupted(signum, frame):
+            raise Interrupted
+
+        caller = threading.get_ident()
+        taken = []
+        first = threading.Lock()
+
+        def fn(item):
+            taken.append(item)
+            if first.acquire(blocking=False):
+                time.sleep(0.05)  # the caller waits in join by now
+                signal.pthread_kill(caller, signal.SIGINT)
+            time.sleep(0.01)
+            return item
+
+        before = set(threading.enumerate())
+        handler = signal.signal(signal.SIGINT, interrupted)
+        try:
+            with pytest.raises(Interrupted):
+                Workers(fn, list(range(400))).join()
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        # an interrupted Thread.join can mark a running thread stopped, so
+        # wait for the workers to leave rather than join them
+        deadline = time.monotonic() + 10
+        while set(threading.enumerate()) != before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert set(threading.enumerate()) == before
+        assert len(taken) < 400
 
     def test_block_raises_a_worker_bug_only_when_nothing_else_is_raised(self):
         called = threading.Event()

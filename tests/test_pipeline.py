@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import signal
 import threading
 import time
 from pathlib import Path
@@ -22,7 +23,7 @@ from lsast.errors import (
     ScanError,
 )
 from lsast.gateway import MockGateway, PredictedFinding
-from lsast.index import DerivationCache, IndexKind, OfflineEmbedder, VectorIndex
+from lsast.index import SETUP_WORKERS, DerivationCache, IndexKind, OfflineEmbedder, VectorIndex
 from lsast.jsonio import canonical_json, replacing
 from lsast.pipeline import (
     RetrievalMode,
@@ -327,7 +328,7 @@ class TestBatch:
             path = tmp_path / name
             path.write_text(f"var tag = '{name}'\n")
             files.append(path)
-        # the sequential branch and the thread pool
+        # one worker, and more workers than targets
         for parallelism in (1, 4):
             results = run_scan_batch(files, RetrievalMode.RAW, context=context,
                                      parallelism=parallelism)
@@ -387,6 +388,100 @@ class TestBatch:
         for s, p in zip(serial, parallel):
             assert s.prompt_digest == p.prompt_digest
             assert s.included_report_ids == p.included_report_ids
+
+    def test_scans_reach_parallelism_above_setup_workers(self, tmp_path, context):
+        parallelism = 6
+        assert parallelism > SETUP_WORKERS
+        entered = []
+        changed = threading.Condition()
+
+        class Held(MockGateway):
+            """Holds each scan call until `parallelism` of them are in flight."""
+
+            def complete(self, prompt):
+                if SCAN_MARKER in prompt:
+                    with changed:
+                        entered.append(threading.current_thread())
+                        changed.notify_all()
+                        if not changed.wait_for(lambda: len(entered) >= parallelism,
+                                                timeout=10):
+                            raise GatewayError("fewer scans in flight than parallelism")
+                return super().complete(prompt)
+
+        targets = tagged_targets(tmp_path, range(parallelism))
+        context.gateway = Held()
+        results = run_scan_batch(targets, RetrievalMode.RAW, context=context,
+                                 parallelism=parallelism)
+        assert all(isinstance(r, ScanResult) for r in results)
+        assert len(set(entered)) == parallelism
+
+    @pytest.mark.parametrize("mode", [RetrievalMode.RAW, RetrievalMode.COMBINED])
+    def test_worker_bug_starts_no_further_scan(self, tmp_path, context, mode):
+        class Buggy(ScanCounter):
+            def complete(self, prompt):
+                if SCAN_MARKER in prompt:
+                    super().complete(prompt)
+                    raise RuntimeError("gateway bug")
+                return super().complete(prompt)
+
+        targets = tagged_targets(tmp_path, range(8))
+        context.gateway = Buggy()
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="gateway bug"):
+            run_scan_batch(targets, mode, k=2, context=context, parallelism=1)
+        assert len(context.gateway.scans) == 1
+        assert set(threading.enumerate()) == before
+
+    def test_interrupt_while_waiting_stops_the_scans(self, tmp_path, context):
+        class Interrupted(Exception):
+            pass
+
+        def interrupted(signum, frame):
+            raise Interrupted
+
+        caller = threading.get_ident()
+
+        class Interrupting(ScanCounter):
+            def complete(self, prompt):
+                if SCAN_MARKER in prompt:
+                    if not self.scans:
+                        time.sleep(0.05)  # the caller waits for the batch by now
+                        signal.pthread_kill(caller, signal.SIGINT)
+                    time.sleep(0.01)
+                return super().complete(prompt)
+
+        targets = tagged_targets(tmp_path, range(20))
+        context.gateway = Interrupting()
+        before = set(threading.enumerate())
+        handler = signal.signal(signal.SIGINT, interrupted)
+        try:
+            with pytest.raises(Interrupted):
+                run_scan_batch(targets, RetrievalMode.RAW, context=context)
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        # an interrupted Thread.join can mark a running thread stopped, so
+        # wait for the worker to leave rather than join it
+        deadline = time.monotonic() + 10
+        while set(threading.enumerate()) != before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert set(threading.enumerate()) == before
+        assert len(context.gateway.scans) < len(targets)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_scanner_value_error_propagates(self, tmp_path, context, parallelism, caplog):
+        targets = tagged_targets(tmp_path, range(4))
+
+        def scanner(target):
+            if target == targets[2]:
+                raise ValueError("scanner bug")
+            return []
+
+        context.scanner = scanner
+        with pytest.raises(ValueError, match="scanner bug"):
+            run_scan_batch(targets, RetrievalMode.RAW_LSAST, context=context,
+                           parallelism=parallelism)
+        # a ScanFailure is logged as "scan failed for <target>"
+        assert "scan failed" not in caplog.text
 
 
 class TestPersistence:
